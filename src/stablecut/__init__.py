@@ -50,11 +50,8 @@ from .oracle import (
     StabilityReport,
     brute_force_max_cut,
     cheeger_constant,
-    edge_distinctness_alpha,
-    k_distinctness,
     local_stability_gamma,
     sample_perturbation_attack,
-    stability_gamma,
     stability_report,
 )
 from .spectral import (

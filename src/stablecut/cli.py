@@ -6,7 +6,7 @@ bench.  Exit codes: 0 success, 2 usage/validation, 3 guarantee-not-met,
 wall-clock fields so reruns are byte-identical.
 
 The env var STABLECUT_ORACLE_LIMIT overrides the exhaustive-enumeration cap
-(default 22).
+(an integer in 1..32, default 22); any other value exits 2.
 """
 
 from __future__ import annotations
@@ -35,9 +35,14 @@ def _oracle_limit() -> int:
     if raw is None:
         return oracle.DEFAULT_ENUM_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError as exc:
         raise ValidationError(f"bad STABLECUT_ORACLE_LIMIT value {raw!r}") from exc
+    if not 1 <= limit <= oracle.MAX_ENUM_LIMIT:
+        raise ValidationError(
+            f"STABLECUT_ORACLE_LIMIT must be in 1..{oracle.MAX_ENUM_LIMIT}, got {raw!r}"
+        )
+    return limit
 
 
 def _dump_json(obj: dict, out: str | None) -> None:
@@ -329,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stablecut",
         description="Generate, certify, and solve gamma-stable Max-Cut instances.",
+        epilog=f"STABLECUT_ORACLE_LIMIT caps exhaustive enumeration: an integer in "
+        f"1..{oracle.MAX_ENUM_LIMIT}, default {oracle.DEFAULT_ENUM_LIMIT}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,13 +1,21 @@
 """Exponential-time ground truth on small instances.
 
 Exact Max-Cut by enumeration, the stability factor gamma*, local stability,
-edge distinctness, k-distinctness, the Cheeger constant, and a perturbation
-attack used to validate gamma* from both sides.  Everything here is the
-oracle the polynomial-time solvers are tested against.
+edge distinctness alpha*, k-distinctness k*, the Cheeger constant, and a
+perturbation attack used to validate gamma* from both sides.  Everything
+here is the oracle the polynomial-time solvers are tested against.
 
-Partitions are enumerated as bitmasks over vertices 1..n-1 with vertex 0
-pinned to the +1 side, so each of the 2^(n-1) partitions appears exactly
-once and ties resolve to the lowest mask.
+Partitions are sign vectors t with vertex 0 pinned to +1, numbered by the
+bitmask over vertices 1..n-1 (bit v-1 set means t_v = -1).  One kernel
+evaluates forms c + t'Mt over all of them: with L, H the low and high
+halves of the free vertices and P = {0} + L, t'Mt = A[t_P] + B[t_H] +
+2 t_H' M_HP t_P, one BLAS GEMM per block of high halves, in mask order.
+
+Ties: cut values within TIE_REL_TOL * max(1, |best|) of the maximum tie,
+counted on the kernel's own values, and the lowest mask wins.  Exact
+zeros: den > 0 comes from an integer support-count form, and the gamma*/k*
+minima are re-evaluated with math.fsum over every mask whose rounding
+interval reaches the minimum, so the lowest exact minimizer wins.
 """
 
 from __future__ import annotations
@@ -21,23 +29,16 @@ from .errors import DimensionError, SizeLimitError, ValidationError
 from .graph import Cut, Perturbation, WeightedGraph, apply_perturbation
 
 __all__ = [
-    "DEFAULT_ENUM_LIMIT",
-    "TIE_REL_TOL",
-    "StabilityReport",
-    "brute_force_max_cut",
-    "stability_report",
-    "stability_gamma",
-    "local_stability_gamma",
-    "edge_distinctness_alpha",
-    "k_distinctness",
-    "cheeger_constant",
-    "sample_perturbation_attack",
+    "DEFAULT_ENUM_LIMIT", "MAX_ENUM_LIMIT", "TIE_REL_TOL", "StabilityReport",
+    "brute_force_max_cut", "stability_report", "local_stability_gamma",
+    "cheeger_constant", "sample_perturbation_attack",
 ]
 
 DEFAULT_ENUM_LIMIT = 22
+MAX_ENUM_LIMIT = 32
 TIE_REL_TOL = 1e-9
 
-_CHUNK_BITS = 14
+_BLOCK_BITS = 13  # 2^13 partitions per block keep the block arrays in cache
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,8 @@ class StabilityReport:
     gamma-stable exactly for gamma < gamma_star.  ``worst_cut`` is the
     minimizing T (None when gamma_star is infinite).  A non-unique maximum
     reports gamma_star = 1 and alpha_star = k_star = 0, with the tying
-    partition as witness.
+    partition as witness.  ``ties`` counts the partitions tying at the
+    maximum; ``cheeger`` is the Cheeger constant (None below two vertices).
     """
 
     max_cut: Cut
@@ -60,6 +62,8 @@ class StabilityReport:
     alpha_star: float
     k_star: float
     worst_cut: Cut | None
+    ties: int
+    cheeger: float | None
 
     def to_json(self) -> dict:
         def num(x: float):
@@ -74,10 +78,13 @@ class StabilityReport:
             "alpha_star": self.alpha_star,
             "k_star": num(self.k_star),
             "worst_cut": None if self.worst_cut is None else self.worst_cut.signs.tolist(),
+            "cheeger": self.cheeger,
         }
 
 
 def _check_size(g: WeightedGraph, limit: int) -> None:
+    if not 1 <= limit <= MAX_ENUM_LIMIT:
+        raise ValidationError(f"enumeration limit must be in 1..{MAX_ENUM_LIMIT}, got {limit}")
     if g.n < 1:
         raise ValidationError("graph must have at least one vertex")
     if g.n > limit:
@@ -87,57 +94,145 @@ def _check_size(g: WeightedGraph, limit: int) -> None:
         )
 
 
-def _sign_chunks(n: int, chunk_bits: int = _CHUNK_BITS):
-    """Yield (start_mask, signs) blocks covering all 2^(n-1) partitions."""
-    total = 1 << (n - 1)
-    step = min(1 << chunk_bits, total)
-    shifts = np.arange(max(n - 1, 1), dtype=np.uint32)
-    for start in range(0, total, step):
-        masks = np.arange(start, min(start + step, total), dtype=np.uint32)
-        signs = np.ones((masks.shape[0], n), dtype=np.int8)
-        if n > 1:
-            bits = (masks[:, None] >> shifts[None, : n - 1]) & 1
-            signs[:, 1:] = 1 - 2 * bits.astype(np.int8)
-        yield start, signs
+def _cut_for_mask(n: int, mask: int) -> Cut:
+    return Cut(np.concatenate([[1], 1 - 2 * ((mask >> np.arange(n - 1)) & 1)]))
 
 
-def _signs_for_mask(n: int, mask: int) -> np.ndarray:
-    signs = np.ones(n, dtype=np.int8)
-    for v in range(1, n):
-        if (mask >> (v - 1)) & 1:
-            signs[v] = -1
-    return signs
+def _sign_table(bits: int) -> np.ndarray:
+    """Row k holds the signs of `bits` vertices read off the bits of k."""
+    return 1.0 - 2.0 * ((np.arange(1 << bits)[:, None] >> np.arange(bits)) & 1)
 
 
-def _all_cut_values(w: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    s = signs.astype(np.float64)
-    return (w.sum() - np.einsum("ki,kj,ij->k", s, s, w, optimize=True)) / 4.0
+def _linear(c: float, l: np.ndarray) -> tuple[float, np.ndarray]:
+    """The form c + l.t as c' + t'Mt, using t_0 = +1."""
+    m = np.zeros((len(l), len(l)))
+    m[0, 1:] = m[1:, 0] = l[1:] / 2.0
+    return c + l[0], m
 
 
-def _max_cut_scan(
-    g: WeightedGraph, tie_rel_tol: float
-) -> tuple[int, float, int, int | None]:
-    """(best mask, best value, tie count, second tying mask or None)."""
-    w = g.weights
-    best = -np.inf
-    for _, signs in _sign_chunks(g.n):
-        vals = _all_cut_values(w, signs)
-        best = max(best, float(vals.max()))
-    tol = tie_rel_tol * max(1.0, abs(best))
-    count = 0
-    best_mask: int | None = None
-    second: int | None = None
-    for start, signs in _sign_chunks(g.n):
-        vals = _all_cut_values(w, signs)
-        hits = np.nonzero(vals >= best - tol)[0]
-        count += hits.shape[0]
-        for h in hits[:2]:
-            mask = start + int(h)
-            if best_mask is None:
-                best_mask = mask
-            elif second is None and mask != best_mask:
-                second = mask
-    return best_mask, best, count, second
+class _Kernel:
+    """Values of the forms c + t'Mt (M symmetric, zero diagonal) over all
+    partitions: block i covers the masks (h << lo_bits) + lo for a run of high
+    halves h and every low half lo, in ascending mask order."""
+
+    def __init__(self, n: int, forms: list[tuple[float, np.ndarray]]):
+        lo_bits = n // 2  # half of the n - 1 free vertices, rounded up
+        p, h = slice(0, lo_bits + 1), slice(lo_bits + 1, n)
+        tp = np.hstack([np.ones((1 << lo_bits, 1)), _sign_table(lo_bits)])
+        th = _sign_table(n - 1 - lo_bits)
+        # value[t_H, t_P] = [t_H, B, 1] @ [2 M_HP t_P; 1; c + A], one GEMM.
+        self.x, self.y = [], []
+        for c, m in forms:
+            high = ((th @ m[h, h]) * th).sum(axis=1, keepdims=True)
+            low = c + ((tp @ m[p, p]) * tp).sum(axis=1)
+            self.x.append(np.hstack([th, high, np.ones_like(high)]))
+            self.y.append(np.vstack([2.0 * m[h, p] @ tp.T, np.ones_like(low), low]))
+        self.lo_bits, self.rows = lo_bits, max(1, (1 << _BLOCK_BITS) >> lo_bits)
+        self.blocks = -(-len(th) // self.rows)
+
+    def block(self, i: int) -> tuple[int, list[np.ndarray]]:
+        """(first mask, one value vector per form) for block i."""
+        rows = slice(i * self.rows, (i + 1) * self.rows)
+        return rows.start << self.lo_bits, [(x[rows] @ y).ravel() for x, y in zip(self.x, self.y)]
+
+    def __iter__(self):
+        return (self.block(i) for i in range(self.blocks))
+
+
+def _scan_max(g: WeightedGraph, cheeger: bool) -> tuple:
+    """First sweep: (lowest tying mask, tie count, second tying mask or None,
+    Cheeger constant or None).  Each block keeps its maximum and the size and
+    first two masks of its own tie window; a block inside the global window
+    but below the global maximum is evaluated again, so memory stays bounded.
+    """
+    def tie_floor(best: float) -> float:
+        return best - TIE_REL_TOL * max(1.0, abs(best))
+
+    n, w = g.n, g.weights
+    forms = [(w.sum() / 4, -w / 4)]
+    if cheeger:
+        a = g.support.astype(np.float64)
+        forms += [(a.sum() / 4, -a / 4), _linear(n / 2, np.full(n, -0.5))]  # boundary, |U|
+    kernel = _Kernel(n, forms)
+    blocks, h = [], math.inf
+    for start, vals in kernel:
+        top = float(vals[0].max())
+        hits = np.flatnonzero(vals[0] >= tie_floor(top))
+        blocks.append((top, hits.size, start + hits[:2]))
+        if cheeger:
+            # U is the -1 side; the smaller of U and its complement counts.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = vals[1] / np.minimum(vals[2], n - vals[2])
+            h = min(h, float(np.fmin.reduce(ratio)))  # fmin skips U = {}: 0/0
+
+    best = max(top for top, _, _ in blocks)
+    floor = tie_floor(best)
+    ties, lowest = 0, []
+    for i, (top, count, masks) in enumerate(blocks):
+        if floor <= top < best:
+            start, vals = kernel.block(i)
+            hits = np.flatnonzero(vals[0] >= floor)
+            count, masks = hits.size, start + hits[:2]
+        if top >= floor:
+            ties += count
+            lowest += masks.tolist()
+    return lowest[0], ties, lowest[1] if ties > 1 else None, h if cheeger else None
+
+
+def _cut_weight(g: WeightedGraph, c: Cut) -> float:
+    iu, ju = np.nonzero(np.triu(g.support))
+    return math.fsum(g.weights[iu, ju][c.signs[iu] != c.signs[ju]])
+
+
+def _distinctness(g: WeightedGraph, s: np.ndarray) -> tuple:
+    """Second sweep against the unique maximum s: (gamma*, lowest argmin mask
+    or None, alpha*, k*).  Uniqueness keeps every T far more than the rounding
+    error err below S, so num > den; alpha = (gamma - 1) / (gamma + 1) rises
+    with gamma, so gamma*'s minimizer gives alpha* (1 if no T has den > 0)."""
+    n, w = g.n, g.weights
+    s_cuts = s[:, None] != s[None, :]
+    w_in, w_out = w * s_cuts, w * ~s_cuts
+    a_out = (w_out > 0).astype(np.float64)
+    forms = [(w_in.sum() / 4, w_in / 4), (w_out.sum() / 4, -w_out / 4)]  # num, den
+    forms += [(a_out.sum() / 4, -a_out / 4), _linear(n / 2, -s / 2.0)]  # den's edges, distance
+    # A form sums at most 2n^2 terms w_ij / 4, so any summation order errs
+    # by less than err; integer weights sum exactly.
+    integral = np.array_equal(w, np.round(w)) and w.sum() < 2.0**50
+    err = 0.0 if integral else n * n * np.finfo(np.float64).eps * w.sum()
+    iu, ju = np.nonzero(np.triu(g.support))
+    wv, s_e = w[iu, ju], s[iu] != s[ju]
+
+    def terms(mask: int) -> list[float]:
+        """[num, den, num - den, num + den] of one T, summed exactly."""
+        t = _cut_for_mask(n, mask).signs
+        t_e = t[iu] != t[ju]
+        pos, neg = wv[s_e & ~t_e], wv[t_e & ~s_e]
+        return [math.fsum(x) for x in (pos, neg, [*pos, *-neg], [*pos, *neg])]
+
+    best = {"gamma": (math.inf, None), "k": (math.inf, None)}
+
+    def fold(key: str, start: int, valid, p, q, ep: float, eq: float, exact) -> None:
+        """Fold a block into best[key]: p / q brackets each ratio to within ep
+        and eq, and exact(terms, q) gives a candidate's exact ratio."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lb = np.where(valid, (p - ep) / (q + eq), np.inf)
+        i = int(np.argmin(lb))
+        if lb[i] < best[key][0]:
+            ub = (p[i] + ep) / (q[i] - eq) if q[i] > eq else math.inf
+            cand = np.flatnonzero((lb <= min(ub, best[key][0])) & (lb < np.inf))
+            if err:
+                lb[cand] = [exact(terms(start + c), q[c]) for c in cand]
+            k = cand[int(np.argmin(lb[cand]))]
+            if lb[k] < best[key][0]:
+                best[key] = (float(lb[k]), start + int(k))
+
+    for start, (num, den, den_edges, dist) in _Kernel(n, forms):
+        dist = np.minimum(dist, n - dist)
+        fold("gamma", start, den_edges > 0, num, den, err, err, lambda t, q: t[0] / t[1])
+        fold("k", start, dist > 0, num - den, dist, 2 * err, 0.0, lambda t, q: t[2] / q)
+    (gamma_star, mask), (k_star, _) = best.values()
+    t = [1.0] * 4 if mask is None else terms(mask)
+    return gamma_star, mask, t[2] / t[3], k_star
 
 
 def brute_force_max_cut(
@@ -149,8 +244,9 @@ def brute_force_max_cut(
     the lowest enumeration mask wins ties, so the result is deterministic.
     """
     _check_size(g, limit)
-    mask, value, count, _ = _max_cut_scan(g, TIE_REL_TOL)
-    return Cut(_signs_for_mask(g.n, mask)), value, count == 1
+    mask, ties, _, _ = _scan_max(g, cheeger=False)
+    cut = _cut_for_mask(g.n, mask)
+    return cut, _cut_weight(g, cut), ties == 1
 
 
 def local_stability_gamma(g: WeightedGraph, c: Cut) -> float:
@@ -169,135 +265,38 @@ def local_stability_gamma(g: WeightedGraph, c: Cut) -> float:
     return float(ratios.min()) if g.n else math.inf
 
 
-def stability_report(
-    g: WeightedGraph,
-    limit: int = DEFAULT_ENUM_LIMIT,
-    tie_rel_tol: float = TIE_REL_TOL,
-) -> StabilityReport:
-    """Full exact stability profile in one enumeration sweep.
+def stability_report(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> StabilityReport:
+    """Full exact stability profile in at most two enumeration sweeps.
 
-    For every alternative partition T the sweep accumulates
+    For every alternative partition T the second sweep evaluates
       num = w(cut edges of S that T does not cut),
       den = w(cut edges of T that S does not cut),
     from which gamma* = min num/den (den > 0), alpha* = min (num-den)/(num+den),
-    and k* = min (num-den)/hamming(S, T).  Partitions with num = den = 0 cut
-    the same edge set as S and are skipped for gamma*/alpha* (they are the
-    0/0 isolated-vertex flips), but still count for k*.
+    and k* = min (num-den)/hamming(S, T).  A T with num = den = 0 cuts the
+    same edges as S and ties with it; a non-unique maximum skips the sweep.
     """
     _check_size(g, limit)
-    best_mask, max_value, count, second = _max_cut_scan(g, tie_rel_tol)
-    n, w = g.n, g.weights
-    max_cut = Cut(_signs_for_mask(n, best_mask))
-    gamma_local = local_stability_gamma(g, max_cut)
-
-    if count != 1:
-        witness = None if second is None else Cut(_signs_for_mask(n, second))
-        return StabilityReport(
-            max_cut=max_cut,
-            max_value=max_value,
-            unique=False,
-            gamma_star=1.0,
-            gamma_local=gamma_local,
-            alpha_star=0.0,
-            k_star=0.0,
-            worst_cut=witness,
-        )
-
-    iu, ju = np.nonzero(np.triu(g.support))
-    wvec = w[iu, ju]
-    s = max_cut.signs
-    cs = s[iu] != s[ju]
-    w_in = wvec * cs          # cut edges of the maximal cut
-    w_out = wvec * ~cs        # everything else
-
-    gamma_star = math.inf
-    gamma_mask: int | None = None
-    alpha_star = math.inf
-    k_star = math.inf
-    for start, signs in _sign_chunks(n):
-        ct = signs[:, iu] != signs[:, ju]
-        # Masked dot products so a T cutting exactly the same edge set as S
-        # yields num = den = 0.0 with no floating residue.
-        num = (~ct).astype(np.float64) @ w_in
-        den = ct.astype(np.float64) @ w_out
-        dist = (signs != s[None, :]).sum(axis=1)
-        dist = np.minimum(dist, n - dist)
-
-        local = np.arange(start, start + signs.shape[0])
-        not_s = local != best_mask
-        differs = (num > 0) | (den > 0)
-
-        ok = not_s & differs & (den > 0)
-        if ok.any():
-            ratios = num[ok] / den[ok]
-            i = int(np.argmin(ratios))
-            if ratios[i] < gamma_star:
-                gamma_star = float(ratios[i])
-                gamma_mask = int(local[ok][i])
-
-        ok = not_s & differs
-        if ok.any():
-            a = (num[ok] - den[ok]) / (num[ok] + den[ok])
-            alpha_star = min(alpha_star, float(a.min()))
-
-        if not_s.any():
-            k = (num[not_s] - den[not_s]) / dist[not_s]
-            k_star = min(k_star, float(k.min()))
-
-    worst = None if gamma_mask is None else Cut(_signs_for_mask(n, gamma_mask))
+    n = g.n
+    best_mask, ties, second, cheeger = _scan_max(g, cheeger=n > 1)
+    max_cut = _cut_for_mask(n, best_mask)
+    if ties == 1:
+        gamma_star, worst, alpha_star, k_star = _distinctness(g, max_cut.signs)
+    else:  # the second tying partition is the witness
+        gamma_star, worst, alpha_star, k_star = 1.0, second, 0.0, 0.0
     return StabilityReport(
-        max_cut=max_cut,
-        max_value=max_value,
-        unique=True,
-        gamma_star=gamma_star,
-        gamma_local=gamma_local,
-        alpha_star=alpha_star if math.isfinite(alpha_star) else 1.0,
-        k_star=k_star,
-        worst_cut=worst,
+        max_cut=max_cut, max_value=_cut_weight(g, max_cut), unique=ties == 1,
+        gamma_star=gamma_star, gamma_local=local_stability_gamma(g, max_cut),
+        alpha_star=alpha_star, k_star=k_star, ties=ties, cheeger=cheeger,
+        worst_cut=None if worst is None else _cut_for_mask(n, worst),
     )
-
-
-def stability_gamma(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> StabilityReport:
-    """Alias for the full report; see stability_report."""
-    return stability_report(g, limit)
-
-
-def edge_distinctness_alpha(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> float:
-    """Largest alpha such that the maximal cut beats every T by more than
-    alpha times the weight of their cut-edge symmetric difference.
-
-    Non-unique maximum reports 0."""
-    return stability_report(g, limit).alpha_star
-
-
-def k_distinctness(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> float:
-    """Largest k such that the maximal cut beats every T by at least k per
-    vertex of partition Hamming distance.  Non-unique maximum reports 0."""
-    return stability_report(g, limit).k_star
 
 
 def cheeger_constant(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> float:
     """Exact min over nonempty U with |U| <= n/2 of |support edges leaving U| / |U|."""
     _check_size(g, limit)
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise ValidationError("Cheeger constant needs at least two vertices")
-    iu, ju = np.nonzero(np.triu(g.support))
-    half = n / 2.0
-    best = math.inf
-    for _, signs in _sign_chunks(n):
-        # U = the -1 side, so U never contains vertex 0 and each subset of
-        # {1..n-1} appears exactly once; the complement covers the rest.
-        sizes = (signs == -1).sum(axis=1)
-        boundary = (signs[:, iu] != signs[:, ju]).sum(axis=1).astype(np.float64)
-        ok = (sizes >= 1) & (sizes <= half)
-        if ok.any():
-            best = min(best, float((boundary[ok] / sizes[ok]).min()))
-        co = n - sizes
-        ok = (co >= 1) & (co <= half)
-        if ok.any():
-            best = min(best, float((boundary[ok] / co[ok]).min()))
-    return best
+    return _scan_max(g, cheeger=True)[3]
 
 
 def sample_perturbation_attack(

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import combinatorial, dualsdp, oracle, spectral
-from .errors import SizeLimitError, ValidationError
+from .errors import ValidationError
 from .graph import Cut, WeightedGraph
 
 SCHEMA_ID = "stablecut-run-report/1"
@@ -120,22 +120,20 @@ def cut_value_of(g: WeightedGraph, c: Cut) -> float:
 
 
 def oracle_section(g: WeightedGraph, limit: int) -> dict:
-    rep = oracle.stability_report(g, limit)
-    try:
-        h = oracle.cheeger_constant(g, limit)
-    except (SizeLimitError, ValidationError):
-        h = None
-    out = rep.to_json()
-    out["cheeger"] = _num(h)
-    return out
+    return oracle.stability_report(g, limit).to_json()
 
 
-def conditions_section(g: WeightedGraph, candidate: Cut, oracle_limit: int) -> dict:
+def conditions_section(
+    g: WeightedGraph,
+    candidate: Cut,
+    oracle_limit: int,
+    profile: oracle.StabilityReport | None = None,
+) -> dict:
     d = spectral.build_diagonal_from_cut(g, candidate)
     cert = spectral.build_certificate(g, candidate)
     basic, refined = spectral.spectral_gamma_requirement(g, cert.eigvec)
     holds, margin = spectral.psd_sufficient_margin(g, candidate)
-    verdicts = spectral.family_condition_checks(g, candidate, oracle_limit)
+    verdicts = spectral.family_condition_checks(g, candidate, oracle_limit, profile)
     gamma_local = oracle.local_stability_gamma(g, candidate)
     capped = min(gamma_local, spectral.LOCAL_GAMMA_CAP)
     stable_bound = spectral.stable_gw_bound(max(1.0, capped))
@@ -198,9 +196,11 @@ def build_run_report(
         else:
             raise ValidationError(f"unknown solver {name!r}")
 
+    profile = None
     if g.n <= min(AUTO_ORACLE_ATTACH, oracle_limit):
-        osec = oracle_section(g, oracle_limit)
-        candidate = Cut(np.asarray(osec["max_cut"], dtype=np.int8))
+        profile = oracle.stability_report(g, oracle_limit)
+        osec = profile.to_json()
+        candidate = profile.max_cut
     else:
         osec = {"skipped": f"n > limit ({g.n} > {min(AUTO_ORACLE_ATTACH, oracle_limit)})"}
         candidate = None
@@ -237,5 +237,7 @@ def build_run_report(
         "oracle": osec,
     }
     if candidate is not None:
-        report["conditions"] = conditions_section(g, candidate, min(AUTO_ORACLE_ATTACH, oracle_limit))
+        report["conditions"] = conditions_section(
+            g, candidate, min(AUTO_ORACLE_ATTACH, oracle_limit), profile
+        )
     return report

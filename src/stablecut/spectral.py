@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .errors import DomainError, SizeLimitError, ValidationError
+from .errors import DomainError, ValidationError
 from .graph import Cut, WeightedGraph, weighted_degrees
 
 __all__ = [
@@ -191,6 +191,7 @@ def family_condition_checks(
     g: WeightedGraph,
     c: Cut,
     oracle_limit: int = 16,
+    profile: oracle.StabilityReport | None = None,
 ) -> list[ConditionVerdict]:
     """Evaluate the graph-family conditions under which the shifted spectral
     route is guaranteed: equal weighted degrees, regular expanders, Cheeger
@@ -199,7 +200,8 @@ def family_condition_checks(
     gamma is the local stability of c (capped when infinite); structural
     preconditions that fail mark the check not-applicable rather than false.
     Checks needing exhaustive quantities (Cheeger constant, distinctness)
-    are skipped above `oracle_limit` vertices.
+    are skipped above `oracle_limit` vertices; they read both off one exact
+    stability profile, `profile` when the caller already has it.
     """
     verdicts: list[ConditionVerdict] = []
     gamma = _capped(oracle.local_stability_gamma(g, c))
@@ -251,40 +253,29 @@ def family_condition_checks(
             return math.inf
         return (5.0 + s) / (1.0 - s)
 
+    rep = None
     if regular and g.n <= oracle_limit:
-        try:
-            h = oracle.cheeger_constant(g, limit=oracle_limit)
-        except SizeLimitError:
-            h = None
-        if h is not None and math.isfinite(h) and h > 0:
-            rhs = threshold_from(h)
-            verdicts.append(
-                ConditionVerdict(
-                    "cheeger_expansion", True, bool(gamma > rhs), gamma, rhs,
-                    {"cheeger": h, "degree": d},
-                )
+        rep = profile if profile is not None else oracle.stability_report(g, limit=oracle_limit)
+    h = None if rep is None else rep.cheeger
+    if h is not None and math.isfinite(h) and h > 0:
+        rhs = threshold_from(h)
+        verdicts.append(
+            ConditionVerdict(
+                "cheeger_expansion", True, bool(gamma > rhs), gamma, rhs,
+                {"cheeger": h, "degree": d},
             )
-        else:
-            verdicts.append(ConditionVerdict("cheeger_expansion", False, None))
+        )
     else:
         verdicts.append(ConditionVerdict("cheeger_expansion", False, None))
 
-    if regular and g.n <= oracle_limit:
-        try:
-            rep = oracle.stability_report(g, limit=oracle_limit)
-            h = oracle.cheeger_constant(g, limit=oracle_limit)
-        except SizeLimitError:
-            rep, h = None, None
-        if rep is not None and rep.unique and math.isfinite(rep.k_star) and rep.k_star > 0:
-            rhs = threshold_from(rep.k_star)
-            verdicts.append(
-                ConditionVerdict(
-                    "distinctness", True, bool(gamma > rhs), gamma, rhs,
-                    {"k_star": rep.k_star, "cheeger": h, "h_ge_k": bool(h >= rep.k_star)},
-                )
+    if rep is not None and rep.unique and math.isfinite(rep.k_star) and rep.k_star > 0:
+        rhs = threshold_from(rep.k_star)
+        verdicts.append(
+            ConditionVerdict(
+                "distinctness", True, bool(gamma > rhs), gamma, rhs,
+                {"k_star": rep.k_star, "cheeger": h, "h_ge_k": bool(h >= rep.k_star)},
             )
-        else:
-            verdicts.append(ConditionVerdict("distinctness", False, None))
+        )
     else:
         verdicts.append(ConditionVerdict("distinctness", False, None))
 

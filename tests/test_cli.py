@@ -5,8 +5,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from stablecut import WeightedGraph, dumps_graph, load_graph, stability_report
+from stablecut import WeightedGraph, dumps_graph, load_graph, oracle, stability_report
 from stablecut.cli import main
+
+from conftest import complete_bipartite
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "stablecut", "schemas", "report.schema.json"
@@ -134,6 +136,43 @@ def test_oracle_limit_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("STABLECUT_ORACLE_LIMIT")
     rc = main(["solve", "--solver", "oracle", "--no-timing", printed])
     assert rc == 0
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "33", "abc"])
+def test_oracle_limit_env_rejects_bad_values(tmp_path, capsys, monkeypatch, raw):
+    def no_sweep(*args):
+        raise AssertionError("enumerated despite an invalid limit")
+
+    monkeypatch.setattr(oracle, "_Kernel", no_sweep)
+    monkeypatch.setenv("STABLECUT_ORACLE_LIMIT", raw)
+    assert main(["verify", _write_triangle(tmp_path)]) == 2
+    assert "STABLECUT_ORACLE_LIMIT" in capsys.readouterr().err
+
+
+def _count_sweeps(monkeypatch) -> list:
+    sweeps = []
+    kernel = oracle._Kernel
+    monkeypatch.setattr(oracle, "_Kernel", lambda n, forms: sweeps.append(n) or kernel(n, forms))
+    return sweeps
+
+
+def test_verify_enumerates_once(tmp_path, capsys, monkeypatch):
+    sweeps = _count_sweeps(monkeypatch)
+    assert main(["verify", _write_triangle(tmp_path)]) == 0
+    # one stability profile: the maximum with its ties and Cheeger, then gamma*/alpha*/k*
+    assert sweeps == [3, 3]
+
+
+def test_solve_profiles_regular_graph_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k44.graph"
+    path.write_text(dumps_graph(complete_bipartite(4)))
+    sweeps = _count_sweeps(monkeypatch)
+    assert main(["solve", "--solver", "all", "--no-timing", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["conditions"]["families"][2]["detail"]["cheeger"] == 2.0
+    # contract's quotient and the oracle solver each take one sweep; the
+    # oracle section and the family checks share one two-sweep profile
+    assert sweeps == [2, 8, 8, 8]
 
 
 def test_verify_report_schema(tmp_path, capsys):

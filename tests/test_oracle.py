@@ -1,20 +1,22 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablecut import (
     Cut,
     SizeLimitError,
+    ValidationError,
     WeightedGraph,
     brute_force_max_cut,
     cheeger_constant,
     cut_value,
-    edge_distinctness_alpha,
-    k_distinctness,
     local_stability_gamma,
+    oracle,
     sample_perturbation_attack,
     stability_report,
 )
@@ -49,6 +51,14 @@ def test_size_limit():
     # explicit limit override admits it
     cut, value, _ = brute_force_max_cut(g, limit=25)
     assert value == 0.0
+
+
+@pytest.mark.parametrize("limit", [0, -1, 33])
+def test_explicit_limit_outside_mask_width_rejected(k2, limit):
+    with pytest.raises(ValidationError):
+        brute_force_max_cut(k2, limit=limit)
+    with pytest.raises(ValidationError):
+        stability_report(k2, limit=limit)
 
 
 def test_stability_triangle(triangle):
@@ -89,13 +99,13 @@ def test_local_stability(c4, triangle, k2):
 
 
 def test_k_distinctness_examples(c4, k2, triangle):
-    assert k_distinctness(c4) == pytest.approx(1.0)
-    assert k_distinctness(k2) == pytest.approx(1.0)
-    assert k_distinctness(triangle) == pytest.approx(1.0)
+    assert stability_report(c4).k_star == pytest.approx(1.0)
+    assert stability_report(k2).k_star == pytest.approx(1.0)
+    assert stability_report(triangle).k_star == pytest.approx(1.0)
 
 
 def test_alpha_examples(triangle):
-    assert edge_distinctness_alpha(triangle) == pytest.approx(1.0 / 3.0)
+    assert stability_report(triangle).alpha_star == pytest.approx(1.0 / 3.0)
 
 
 def test_cheeger_examples(c4, k2):
@@ -183,3 +193,85 @@ def test_enumeration_is_deterministic(unit_triangle):
     assert a == b
     # lowest canonical mask among the three tying cuts puts vertex 1 alone
     assert a == Cut(np.array([1, -1, 1]))
+
+
+def reference_profile(g: WeightedGraph) -> dict:
+    """Pure-Python enumeration of every partition in ascending mask order,
+    with math.fsum sums: the oracle's definitions, read literally."""
+    n, edges = g.n, g.edges()
+    parts = [
+        (1,) + tuple(1 - 2 * b for b in reversed(bits))
+        for bits in itertools.product((0, 1), repeat=n - 1)
+    ]
+    values = [math.fsum(w for u, v, w in edges if t[u] != t[v]) for t in parts]
+    best = max(values)
+    tied = [t for t, v in zip(parts, values) if v >= best - oracle.TIE_REL_TOL * max(1.0, best)]
+    s = tied[0]
+    out = {"max_cut": s, "max_value": values[parts.index(s)], "ties": len(tied)}
+    if n > 1:
+        out["cheeger"] = min(
+            sum(t[u] != t[v] for u, v, _ in edges) / min(t.count(-1), t.count(1))
+            for t in parts[1:]
+        )
+    if len(tied) > 1:
+        return {**out, "gamma_star": 1.0, "alpha_star": 0.0, "k_star": 0.0, "worst_cut": tied[1]}
+    gamma, worst, alpha, k = math.inf, None, 1.0, math.inf
+    for t in parts:
+        if t == s:
+            continue
+        pos = [w for u, v, w in edges if s[u] != s[v] and t[u] == t[v]]
+        neg = [w for u, v, w in edges if t[u] != t[v] and s[u] == s[v]]
+        x = math.fsum(pos + [-w for w in neg])
+        if neg and math.fsum(pos) / math.fsum(neg) < gamma:
+            gamma, worst = math.fsum(pos) / math.fsum(neg), t
+        alpha = min(alpha, x / math.fsum(pos + neg))
+        d = sum(a != b for a, b in zip(s, t))
+        k = min(k, x / min(d, n - d))
+    return {**out, "gamma_star": gamma, "alpha_star": alpha, "k_star": k, "worst_cut": worst}
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    weight = draw(
+        st.sampled_from(
+            [
+                st.floats(min_value=0.5, max_value=1.5),  # uniform
+                st.integers(min_value=1, max_value=3).map(float),  # small integers: ties
+                st.integers(min_value=1, max_value=3).map(lambda k: k / 10),  # float ties
+                st.floats(min_value=-8, max_value=8).map(lambda e: 10.0**e),  # wide range
+                st.just(1.0),  # unit
+            ]
+        )
+    )
+    isolated = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=2))
+    w = np.zeros((n, n))
+    for u, v in itertools.combinations(range(n), 2):
+        if u not in isolated and v not in isolated and draw(st.booleans()):
+            w[u, v] = w[v, u] = draw(weight)
+    return WeightedGraph(w)
+
+
+@pytest.mark.parametrize("block_bits", [2, oracle._BLOCK_BITS])
+@settings(max_examples=100, deadline=None)
+@given(g=small_graphs())
+@example(g=WeightedGraph(np.zeros((1, 1))))
+@example(g=WeightedGraph(np.zeros((2, 2))))
+@example(g=WeightedGraph.from_edges(2, [(0, 1, 0.7)]))
+def test_matches_reference_enumerator(block_bits, g):
+    ref = reference_profile(g)
+    # tiny blocks spread n <= 9 over many blocks, as large n does
+    with mock.patch.object(oracle, "_BLOCK_BITS", block_bits):
+        rep = stability_report(g)
+    assert tuple(rep.max_cut.signs) == ref["max_cut"]
+    assert rep.ties == ref["ties"]
+    assert rep.unique == (ref["ties"] == 1)
+    worst = None if rep.worst_cut is None else tuple(rep.worst_cut.signs)
+    assert worst == ref["worst_cut"]
+    assert rep.cheeger == ref.get("cheeger")
+    assert rep.max_value == pytest.approx(ref["max_value"], rel=1e-12)
+    for key in ("gamma_star", "alpha_star", "k_star"):
+        if math.isinf(ref[key]):
+            assert getattr(rep, key) == ref[key]
+        else:
+            assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-12, abs=1e-300)
