@@ -6,7 +6,9 @@ bench.  Exit codes: 0 success, 2 usage/validation, 3 guarantee-not-met,
 wall-clock fields so reruns are byte-identical.
 
 The env var STABLECUT_ORACLE_LIMIT overrides the exhaustive-enumeration cap
-(an integer in 1..32, default 22); any other value exits 2.
+(an integer in 1..32, default 22); any other value exits 2.  A graph file
+may declare at most 4096 vertices (graph.MAX_FILE_VERTICES); a larger
+header exits 4 before anything is allocated.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import combinatorial, dualsdp, generators, oracle, report, spectral
 from .errors import DomainError, SizeLimitError, ValidationError
-from .graph import WeightedGraph, load_graph, save_graph
+from .graph import MAX_FILE_VERTICES, WeightedGraph, load_graph, save_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -268,8 +270,8 @@ def _bench_cell(
                 g, tol=tol, max_iter=max_iter, seed=seed_i
             )
         elif solver == "greedy":
-            cut, _ = combinatorial.find_max_cut_greedy(g)
-            _, cert = combinatorial.greedy_applicability(g, gamma)
+            cut, steps = combinatorial.find_max_cut_greedy(g)
+            cert = all(s.bundles < gamma for s in steps)
         elif solver == "spectral":
             cut = spectral.spectral_partition(g)
             cert = False
@@ -335,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stablecut",
         description="Generate, certify, and solve gamma-stable Max-Cut instances.",
         epilog=f"STABLECUT_ORACLE_LIMIT caps exhaustive enumeration: an integer in "
-        f"1..{oracle.MAX_ENUM_LIMIT}, default {oracle.DEFAULT_ENUM_LIMIT}.",
+        f"1..{oracle.MAX_ENUM_LIMIT}, default {oracle.DEFAULT_ENUM_LIMIT}. Graph files may "
+        f"declare at most {MAX_FILE_VERTICES} vertices (exit 4 above that).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

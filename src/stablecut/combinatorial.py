@@ -12,6 +12,15 @@ Two routes:
 Both always return a cut; the accompanying flags say whether the run
 satisfied the stability conditions under which the output is provably
 maximal.
+
+The greedy engine keeps, for every pair of components, the weight between
+their left and right sides in three slot-indexed side-weight matrices, so a
+merge costs O(n) row and column adds and one pass is O(n^2) vector work.
+Candidate bundles whose aggregated weight lies within the rounding bound
+(4 n^2 eps relative) of the best are re-scored from their blocks of W, so
+the chosen merges and the reported weights are exactly those of per-bundle
+block sums.  Each step also records its nonempty-bundle count, from which
+the refined greedy condition is read for any gamma without a second run.
 """
 
 from __future__ import annotations
@@ -39,7 +48,13 @@ EXHAUSTIVE_BITS = 20
 
 @dataclass(frozen=True)
 class MergeStep:
-    """One greedy iteration: which components were joined and how."""
+    """One greedy iteration: which components were joined and how.
+
+    ``bundles`` is the larger of the chosen component's nonempty parallel and
+    crossing bundle counts; the refined greedy condition at gamma holds for
+    the iteration exactly when it is below gamma.  It is not part of the
+    JSON form.
+    """
 
     iteration: int
     component_sizes: tuple[int, ...]
@@ -47,6 +62,7 @@ class MergeStep:
     chosen_j: int
     chosen_c: int
     edge_weight_added: float
+    bundles: int
 
     def to_json(self) -> dict:
         return {
@@ -73,10 +89,9 @@ def _support_components(g: WeightedGraph) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for u in np.nonzero(adj[v])[0]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
+            fresh = np.flatnonzero(adj[v] & ~seen)
+            seen[fresh] = True
+            stack.extend(fresh.tolist())
         comps.append(sorted(comp))
     return comps
 
@@ -87,85 +102,84 @@ def _block_weight(w: np.ndarray, a: list[int], b: list[int]) -> float:
     return float(w[np.ix_(a, b)].sum())
 
 
-def _greedy_engine(
-    w: np.ndarray, gamma: float | None, iteration0: int
-) -> tuple[np.ndarray, list[MergeStep], list[bool]]:
+def _greedy_engine(w: np.ndarray, iteration0: int) -> tuple[np.ndarray, list[MergeStep]]:
     """Run the component-growing loop on a connected weight matrix.
 
-    Components are kept sorted by their lowest vertex; the smallest one
-    (ties to the lowest vertex) is joined each round.  Ties among candidate
-    bundles break to the lower component index, then to parallel (c = 0)
-    before crossing (c = 1).
+    Each round joins the smallest component i (ties to the lowest vertex)
+    to the component j and orientation c with the heaviest bundle: parallel
+    (c = 0) weight w(L_i, L_j) + w(R_i, R_j), crossing (c = 1) weight
+    w(L_i, R_j) + w(R_i, L_j).  Ties break to the lower j, then to parallel
+    before crossing; i and j are positions in lowest-vertex order.
+
+    Component a lives in slot min(a) of three side-weight matrices LL, LR
+    and RR holding w(L_a, L_b), w(L_a, R_b) and w(R_a, R_b), so i's
+    candidates are the vectors LL[i] + RR[i] and LR[i, :] + LR[:, i], and a
+    merge folds the pair into the lower slot with O(n) row and column adds.
+    These aggregated sums round differently from a bundle's block sum, so
+    every candidate within 4 n^2 eps (relative) of the best is re-scored with
+    `_block_weight` in tie-break order: two summation orders of at most n^2
+    nonnegative terms agree that closely, so the block-sum maximum is always
+    in that window, and the choice and `edge_weight_added` are exactly those
+    of block sums.  Integer weights summing below 2^53 add exactly in any
+    order, so there the window holds only exact ties.  Nonempty-bundle counts
+    are exact either way: a sum of nonnegative weights is positive exactly
+    when one of its terms is.
     """
     n = w.shape[0]
-    comps: list[tuple[list[int], list[int]]] = [([v], []) for v in range(n)]
+    ll, lr, rr = w.copy(), np.zeros((n, n)), np.zeros((n, n))
+    sides = [([v], []) for v in range(n)]
+    size = np.ones(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+    exact = np.array_equal(w, np.round(w)) and w.sum() < 2.0**53
+    window = 1.0 if exact else 1.0 - 4.0 * n * n * np.finfo(np.float64).eps
+
+    def bundle(i: int, j: int, c: int) -> float:
+        (li, ri), (lj, rj) = sides[i], sides[j]
+        if c == 0:
+            return _block_weight(w, li, lj) + _block_weight(w, ri, rj)
+        return _block_weight(w, li, rj) + _block_weight(w, ri, lj)
+
     steps: list[MergeStep] = []
-    flags: list[bool] = []
-    it = iteration0
-    while len(comps) > 1:
-        comps.sort(key=lambda lr: min(lr[0] + lr[1]))
-        sizes = [len(l) + len(r) for l, r in comps]
-        i_star = min(range(len(comps)), key=lambda i: (sizes[i], min(comps[i][0] + comps[i][1])))
-        li, ri = comps[i_star]
-
-        best = (-1.0, -1, -1)
-        nonempty = [0, 0]
-        for j, (lj, rj) in enumerate(comps):
-            if j == i_star:
-                continue
-            e0 = _block_weight(w, li, lj) + _block_weight(w, ri, rj)
-            e1 = _block_weight(w, li, rj) + _block_weight(w, ri, lj)
-            nonempty[0] += e0 > 0
-            nonempty[1] += e1 > 0
-            for c, e in ((0, e0), (1, e1)):
-                if e > best[0]:
-                    best = (e, j, c)
-        weight, j_star, c_star = best
-        if j_star < 0:
-            raise ValidationError("greedy engine requires a connected graph")
-        if gamma is not None:
-            flags.append(max(nonempty) < gamma)
-
-        lj, rj = comps[j_star]
-        if c_star == 0:
-            merged = (sorted(li + rj), sorted(ri + lj))
-        else:
-            merged = (sorted(li + lj), sorted(ri + rj))
+    for it in range(iteration0, iteration0 + n - 1):
+        i = int(np.argmin(np.where(live, size, n + 1)))
+        e = np.stack([ll[i] + rr[i], lr[i] + lr[:, i]], axis=1)  # e[j, c]
+        e[~live] = -1.0
+        e[i] = -1.0
+        candidates = np.argwhere(e >= e.max() * window).tolist()  # in (j, c) order
+        weight, j, c = max(((bundle(i, j, c), j, c) for j, c in candidates), key=lambda t: t[0])
+        position = np.cumsum(live) - 1
         steps.append(
             MergeStep(
                 iteration=it,
-                component_sizes=tuple(sizes),
-                chosen_i=i_star,
-                chosen_j=j_star,
-                chosen_c=c_star,
+                component_sizes=tuple(size[live].tolist()),
+                chosen_i=int(position[i]),
+                chosen_j=int(position[j]),
+                chosen_c=c,
                 edge_weight_added=weight,
+                bundles=int((e > 0).sum(axis=0).max()),
             )
         )
-        it += 1
-        comps = [c for k, c in enumerate(comps) if k not in (i_star, j_star)]
-        comps.append(merged)
 
-    left, _ = comps[0]
+        # j's side x joins L_i and its side y joins R_i; the four vectors are
+        # w(x, L_k), w(x, R_k), w(L_k, y) and w(y, R_k) over slots k.
+        (li, ri), (lj, rj) = sides[i], sides[j]
+        if c == 0:
+            x, y, xl, xr, yl, yr = rj, lj, lr[:, j], rr[j], ll[j], lr[j]
+        else:
+            x, y, xl, xr, yl, yr = lj, rj, ll[j], lr[j], lr[:, j], rr[j]
+        new_ll, new_rr = ll[i] + xl, rr[i] + yr
+        new_lr_row, new_lr_col = lr[i] + xr, lr[:, i] + yl
+        d = min(i, j)
+        ll[d], ll[:, d] = new_ll, new_ll
+        rr[d], rr[:, d] = new_rr, new_rr
+        lr[d], lr[:, d] = new_lr_row, new_lr_col
+        sides[d] = (sorted(li + x), sorted(ri + y))
+        size[d] = size[i] + size[j]
+        live[max(i, j)] = False
+
     signs = -np.ones(n, dtype=np.int8)
-    signs[left] = 1
-    return signs, steps, flags
-
-
-def _run_greedy(
-    g: WeightedGraph, gamma: float | None
-) -> tuple[Cut, list[MergeStep], list[bool]]:
-    signs = np.ones(g.n, dtype=np.int8)
-    steps: list[MergeStep] = []
-    flags: list[bool] = []
-    it = 0
-    for comp in _support_components(g):
-        sub = g.weights[np.ix_(comp, comp)]
-        s, st, fl = _greedy_engine(sub, gamma, it)
-        it += len(st)
-        signs[comp] = s
-        steps.extend(st)
-        flags.extend(fl)
-    return Cut(signs), steps, flags
+    signs[sides[0][0]] = 1
+    return signs, steps
 
 
 def find_max_cut_greedy(g: WeightedGraph) -> tuple[Cut, list[MergeStep]]:
@@ -175,8 +189,13 @@ def find_max_cut_greedy(g: WeightedGraph) -> tuple[Cut, list[MergeStep]]:
     degree * n); otherwise still returns its best cut.  Disconnected inputs
     are solved per support component and recombined.
     """
-    cut, steps, _ = _run_greedy(g, None)
-    return cut, steps
+    signs = np.ones(g.n, dtype=np.int8)
+    steps: list[MergeStep] = []
+    for comp in _support_components(g):
+        s, st = _greedy_engine(g.weights[np.ix_(comp, comp)], len(steps))
+        signs[comp] = s
+        steps.extend(st)
+    return Cut(signs), steps
 
 
 def greedy_applicability(g: WeightedGraph, gamma: float) -> tuple[list[bool], bool]:
@@ -184,9 +203,11 @@ def greedy_applicability(g: WeightedGraph, gamma: float) -> tuple[list[bool], bo
 
     An iteration qualifies when the chosen component sees fewer than gamma
     other components through nonempty bundles, separately for the parallel
-    and crossing orientations.
+    and crossing orientations.  The flags are read off the steps of one
+    `find_max_cut_greedy` run (`MergeStep.bundles < gamma`), so a caller
+    that already has the steps derives them without running greedy again.
     """
-    _, _, flags = _run_greedy(g, gamma)
+    flags = [s.bundles < gamma for s in find_max_cut_greedy(g)[1]]
     return flags, all(flags)
 
 

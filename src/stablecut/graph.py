@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, SizeLimitError, ValidationError
 
 __all__ = [
+    "MAX_FILE_VERTICES",
     "WeightedGraph",
     "Cut",
     "Perturbation",
@@ -49,6 +50,8 @@ class WeightedGraph:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError(f"weight matrix must be square, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise ValidationError("weight matrix must be symmetric")
         if np.any(w < 0):
@@ -246,6 +249,12 @@ def merge_vertices(g: WeightedGraph, i: int, j: int) -> tuple[WeightedGraph, np.
 # Text format, bit-exact under load/save round trips:
 #   optional '#' comment lines, a header "n m", then m lines "u v w"
 #   with 0 <= u < v < n and w a positive decimal.
+#
+# The header is checked before the dense n x n matrix is allocated: n may
+# not exceed MAX_FILE_VERTICES (128 MiB of weights) and m may not exceed
+# n(n-1)/2.
+
+MAX_FILE_VERTICES = 4096
 
 
 def loads_graph(text: str) -> WeightedGraph:
@@ -263,6 +272,10 @@ def loads_graph(text: str) -> WeightedGraph:
         raise ValidationError(f"bad header line: {lines[0]!r}") from exc
     if n < 0 or m < 0:
         raise ValidationError("negative counts in header")
+    if n > MAX_FILE_VERTICES:
+        raise SizeLimitError(f"n={n} exceeds the graph file limit of {MAX_FILE_VERTICES} vertices")
+    if m > n * (n - 1) // 2:
+        raise ValidationError(f"m={m} exceeds the {n * (n - 1) // 2} vertex pairs of n={n}")
     if len(lines) - 1 != m:
         raise ValidationError(f"expected {m} edge lines, found {len(lines) - 1}")
     w = np.zeros((n, n))

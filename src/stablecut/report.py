@@ -52,8 +52,8 @@ def solver_entry_greedy(g: WeightedGraph, gamma_hint: float | None, timing: bool
         "trace": [s.to_json() for s in trace],
     }
     if gamma_hint is not None:
-        flags, overall = combinatorial.greedy_applicability(g, gamma_hint)
-        entry["applicability"] = {"gamma": gamma_hint, "per_iteration": flags, "overall": overall}
+        flags = [s.bundles < gamma_hint for s in trace]
+        entry["applicability"] = {"gamma": gamma_hint, "per_iteration": flags, "overall": all(flags)}
     return entry
 
 
@@ -102,15 +102,27 @@ def solver_entry_dual(
     }
 
 
-def solver_entry_oracle(g: WeightedGraph, limit: int, timing: bool) -> dict:
+def solver_entry_oracle(
+    g: WeightedGraph, limit: int, timing: bool, attach: bool = False
+) -> tuple[dict, oracle.StabilityReport | None]:
+    """The exact maximum cut, plus the stability profile when `attach` is set.
+
+    With `attach` the entry is read off the profile's first sweep and
+    `wall_ms` times the whole profile; otherwise it is one max-cut sweep.
+    """
     t = _Timer(timing)
-    cut, value, unique = oracle.brute_force_max_cut(g, limit)
-    return {
+    profile = oracle.stability_report(g, limit) if attach else None
+    if profile is None:
+        cut, value, unique = oracle.brute_force_max_cut(g, limit)
+    else:
+        cut, value, unique = profile.max_cut, profile.max_value, profile.unique
+    entry = {
         "cut": cut.signs.tolist(),
         "value": value,
         "wall_ms": t.ms(),
         "unique": unique,
     }
+    return entry, profile
 
 
 def cut_value_of(g: WeightedGraph, c: Cut) -> float:
@@ -129,11 +141,11 @@ def conditions_section(
     oracle_limit: int,
     profile: oracle.StabilityReport | None = None,
 ) -> dict:
-    d = spectral.build_diagonal_from_cut(g, candidate)
     cert = spectral.build_certificate(g, candidate)
     basic, refined = spectral.spectral_gamma_requirement(g, cert.eigvec)
-    holds, margin = spectral.psd_sufficient_margin(g, candidate)
-    verdicts = spectral.family_condition_checks(g, candidate, oracle_limit, profile)
+    spectrum = spectral.eigen_smallest_two(g.weights)
+    holds, margin = spectral.psd_sufficient_margin(g, candidate, spectrum)
+    verdicts = spectral.family_condition_checks(g, candidate, oracle_limit, profile, spectrum)
     gamma_local = oracle.local_stability_gamma(g, candidate)
     capped = min(gamma_local, spectral.LOCAL_GAMMA_CAP)
     stable_bound = spectral.stable_gw_bound(max(1.0, capped))
@@ -157,7 +169,7 @@ def conditions_section(
             "lambda_n_minus_1": cert.lambda_n_minus_1,
             "psd": cert.psd,
             "residual": cert.residual,
-            "diag_shift": d.tolist(),
+            "diag_shift": cert.diag_shift.tolist(),
         },
         "spectral_ratio": {"basic": _num(basic), "refined": _num(refined)},
         "psd_margin": {"holds": holds, "margin": margin},
@@ -178,6 +190,8 @@ def build_run_report(
     timing: bool,
     gamma_hint: float | None = None,
 ) -> dict:
+    attach = g.n <= min(AUTO_ORACLE_ATTACH, oracle_limit)
+    profile = None
     entries: dict[str, dict] = {}
     for name in solvers:
         if name == "greedy":
@@ -192,13 +206,13 @@ def build_run_report(
         elif name == "dual":
             entries[name] = solver_entry_dual(g, tol, max_iter, seed, True, timing)
         elif name == "oracle":
-            entries[name] = solver_entry_oracle(g, oracle_limit, timing)
+            entries[name], profile = solver_entry_oracle(g, oracle_limit, timing, attach)
         else:
             raise ValidationError(f"unknown solver {name!r}")
 
-    profile = None
-    if g.n <= min(AUTO_ORACLE_ATTACH, oracle_limit):
-        profile = oracle.stability_report(g, oracle_limit)
+    if attach:
+        if profile is None:
+            profile = oracle.stability_report(g, oracle_limit)
         osec = profile.to_json()
         candidate = profile.max_cut
     else:

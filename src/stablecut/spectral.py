@@ -98,14 +98,18 @@ def build_diagonal_from_cut(g: WeightedGraph, c: Cut) -> np.ndarray:
     return -s * (g.weights @ s)
 
 
+def _psd_at(lam: float, m: np.ndarray, tol: float = PSD_REL_TOL) -> bool:
+    """is_psd's test for a matrix m whose smallest eigenvalue is lam."""
+    return lam >= -tol * max(1.0, float(np.linalg.norm(m, np.inf)))
+
+
 def is_psd(m: np.ndarray, tol: float = PSD_REL_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol * |m|_inf."""
     m = _as_sym(m)
     if m.shape[0] == 0:
         return True
     lam, _, _ = eigen_smallest_two(m)
-    scale = max(1.0, float(np.linalg.norm(m, np.inf)))
-    return lam >= -tol * scale
+    return _psd_at(lam, m, tol)
 
 
 def spectral_gamma_requirement(
@@ -144,16 +148,20 @@ def _capped(gamma: float) -> float:
     return min(gamma, LOCAL_GAMMA_CAP)
 
 
-def psd_sufficient_margin(g: WeightedGraph, c: Cut) -> tuple[bool, float]:
+def psd_sufficient_margin(
+    g: WeightedGraph, c: Cut, spectrum: tuple[float, np.ndarray, float] | None = None
+) -> tuple[bool, float]:
     """Margin 2*delta~*(gamma-1)/(gamma+1) + lam_n + lam_{n-1} for the cut c.
 
     gamma is the local stability of c (capped when infinite) and the
-    eigenvalues are those of W itself.  A positive margin guarantees
-    W + diag(build_diagonal_from_cut(g, c)) is positive semidefinite.
+    eigenvalues are those of W itself, read off `spectrum` (the result of
+    eigen_smallest_two(g.weights)) when the caller already has it.  A
+    positive margin guarantees W + diag(build_diagonal_from_cut(g, c)) is
+    positive semidefinite.
     """
     gamma = _capped(oracle.local_stability_gamma(g, c))
     delta_t = weighted_degrees(g).min_weighted
-    lam_n, _, lam_n1 = eigen_smallest_two(g.weights)
+    lam_n, _, lam_n1 = spectrum if spectrum is not None else eigen_smallest_two(g.weights)
     margin = 2.0 * delta_t * (gamma - 1.0) / (gamma + 1.0) + lam_n + lam_n1
     return margin > 0, float(margin)
 
@@ -192,6 +200,7 @@ def family_condition_checks(
     c: Cut,
     oracle_limit: int = 16,
     profile: oracle.StabilityReport | None = None,
+    spectrum: tuple[float, np.ndarray, float] | None = None,
 ) -> list[ConditionVerdict]:
     """Evaluate the graph-family conditions under which the shifted spectral
     route is guaranteed: equal weighted degrees, regular expanders, Cheeger
@@ -201,12 +210,13 @@ def family_condition_checks(
     preconditions that fail mark the check not-applicable rather than false.
     Checks needing exhaustive quantities (Cheeger constant, distinctness)
     are skipped above `oracle_limit` vertices; they read both off one exact
-    stability profile, `profile` when the caller already has it.
+    stability profile, `profile` when the caller already has it.  The bottom
+    of W's spectrum is `spectrum` (eigen_smallest_two(g.weights)) when given.
     """
     verdicts: list[ConditionVerdict] = []
     gamma = _capped(oracle.local_stability_gamma(g, c))
     stats = weighted_degrees(g)
-    lam_n, _, lam_n1 = eigen_smallest_two(g.weights)
+    lam_n, _, lam_n1 = spectrum if spectrum is not None else eigen_smallest_two(g.weights)
 
     wdeg = stats.weighted
     equal_w = g.n > 0 and float(np.ptp(wdeg)) <= 1e-9 * max(1.0, float(np.abs(wdeg).max()))
@@ -315,7 +325,7 @@ def build_certificate(g: WeightedGraph, c: Cut) -> SpectralCertificate:
         lambda_n_minus_1=lam_n1,
         eigvec=u,
         diag_shift=d,
-        psd=is_psd(m),
+        psd=_psd_at(lam_n, m),
         residual=residual,
     )
 

@@ -5,7 +5,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from stablecut import WeightedGraph, dumps_graph, load_graph, oracle, stability_report
+from stablecut import (
+    WeightedGraph, combinatorial, dumps_graph, graph, load_graph, oracle, stability_report,
+)
 from stablecut.cli import main
 
 from conftest import complete_bipartite
@@ -122,6 +124,25 @@ def test_solve_oracle_over_limit_exits_4(tmp_path, capsys):
     assert rc == 4
 
 
+class _NoAlloc:
+    """numpy as the graph module sees it, except that allocating fails."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, *args, **kwargs):
+        raise AssertionError("allocated for an oversized header")
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_oversized_header_exits_4_before_allocating(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "huge.graph"
+    path.write_text("100000 0\n")
+    monkeypatch.setattr(graph, "np", _NoAlloc())
+    assert main([command, str(path)]) == 4
+    assert str(graph.MAX_FILE_VERTICES) in capsys.readouterr().err
+
+
 def test_solve_unreadable_file_exits_2(tmp_path):
     rc = main(["solve", "--solver", "dual", str(tmp_path / "nope.graph")])
     assert rc == 2
@@ -170,9 +191,29 @@ def test_solve_profiles_regular_graph_once(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--solver", "all", "--no-timing", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["conditions"]["families"][2]["detail"]["cheeger"] == 2.0
-    # contract's quotient and the oracle solver each take one sweep; the
-    # oracle section and the family checks share one two-sweep profile
-    assert sweeps == [2, 8, 8, 8]
+    # contract's quotient takes one sweep; the oracle solver entry, the oracle
+    # section and the family checks share one two-sweep profile
+    assert sweeps == [2, 8, 8]
+
+
+def test_solve_runs_greedy_once_per_component(tmp_path, capsys, monkeypatch):
+    g = WeightedGraph.from_edges(
+        7, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.5), (3, 4, 1.0), (4, 5, 0.5), (5, 6, 2.0)]
+    )
+    path = tmp_path / "two.graph"
+    path.write_text(dumps_graph(g))
+    runs = []
+    engine = combinatorial._greedy_engine
+    monkeypatch.setattr(
+        combinatorial, "_greedy_engine", lambda w, it: runs.append(len(w)) or engine(w, it)
+    )
+    assert main(
+        ["solve", "--solver", "all", "--gamma", "2", "--max-iter", "50", "--no-timing", str(path)]
+    ) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # the applicability flags are read off the same run's steps
+    assert runs == [3, 4]
+    assert len(doc["solvers"]["greedy"]["applicability"]["per_iteration"]) == 5
 
 
 def test_verify_report_schema(tmp_path, capsys):

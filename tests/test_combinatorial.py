@@ -1,22 +1,170 @@
+import itertools
+from collections import namedtuple
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stablecut import (
     Cut,
     ValidationError,
     WeightedGraph,
+    WeightDistribution,
     brute_force_max_cut,
     build_conflict_graph,
     cut_value,
     find_max_cut_greedy,
+    gen_planted,
     greedy_applicability,
     high_degree_solve,
     stabilize_by_scaling,
     weighted_degrees,
 )
-from stablecut.combinatorial import _support_components
+from stablecut.combinatorial import _block_weight, _support_components
 
 from conftest import complete_bipartite, random_weighted
+
+# --- reference engine: one block sum per component pair and bundle ------
+#
+# The original engine, kept verbatim as the ground truth for the
+# side-weight-matrix engine; only the step record is a plain tuple.
+
+MergeStep = namedtuple(
+    "MergeStep", "iteration component_sizes chosen_i chosen_j chosen_c edge_weight_added"
+)
+
+
+def _greedy_engine(
+    w: np.ndarray, gamma: float | None, iteration0: int
+) -> tuple[np.ndarray, list[MergeStep], list[bool]]:
+    n = w.shape[0]
+    comps: list[tuple[list[int], list[int]]] = [([v], []) for v in range(n)]
+    steps: list[MergeStep] = []
+    flags: list[bool] = []
+    it = iteration0
+    while len(comps) > 1:
+        comps.sort(key=lambda lr: min(lr[0] + lr[1]))
+        sizes = [len(l) + len(r) for l, r in comps]
+        i_star = min(range(len(comps)), key=lambda i: (sizes[i], min(comps[i][0] + comps[i][1])))
+        li, ri = comps[i_star]
+
+        best = (-1.0, -1, -1)
+        nonempty = [0, 0]
+        for j, (lj, rj) in enumerate(comps):
+            if j == i_star:
+                continue
+            e0 = _block_weight(w, li, lj) + _block_weight(w, ri, rj)
+            e1 = _block_weight(w, li, rj) + _block_weight(w, ri, lj)
+            nonempty[0] += e0 > 0
+            nonempty[1] += e1 > 0
+            for c, e in ((0, e0), (1, e1)):
+                if e > best[0]:
+                    best = (e, j, c)
+        weight, j_star, c_star = best
+        if j_star < 0:
+            raise ValidationError("greedy engine requires a connected graph")
+        if gamma is not None:
+            flags.append(max(nonempty) < gamma)
+
+        lj, rj = comps[j_star]
+        if c_star == 0:
+            merged = (sorted(li + rj), sorted(ri + lj))
+        else:
+            merged = (sorted(li + lj), sorted(ri + rj))
+        steps.append(
+            MergeStep(
+                iteration=it,
+                component_sizes=tuple(sizes),
+                chosen_i=i_star,
+                chosen_j=j_star,
+                chosen_c=c_star,
+                edge_weight_added=weight,
+            )
+        )
+        it += 1
+        comps = [c for k, c in enumerate(comps) if k not in (i_star, j_star)]
+        comps.append(merged)
+
+    left, _ = comps[0]
+    signs = -np.ones(n, dtype=np.int8)
+    signs[left] = 1
+    return signs, steps, flags
+
+
+def _run_greedy(
+    g: WeightedGraph, gamma: float | None
+) -> tuple[Cut, list[MergeStep], list[bool]]:
+    signs = np.ones(g.n, dtype=np.int8)
+    steps: list[MergeStep] = []
+    flags: list[bool] = []
+    it = 0
+    for comp in _support_components(g):
+        sub = g.weights[np.ix_(comp, comp)]
+        s, st, fl = _greedy_engine(sub, gamma, it)
+        it += len(st)
+        signs[comp] = s
+        steps.extend(st)
+        flags.extend(fl)
+    return Cut(signs), steps, flags
+
+
+def assert_matches_reference(g: WeightedGraph, gammas) -> None:
+    cut, steps = find_max_cut_greedy(g)
+    ref_cut, ref_steps, _ = _run_greedy(g, None)
+    assert cut == ref_cut
+    # every field, edge_weight_added bit for bit
+    assert [MergeStep(*(getattr(s, f) for f in MergeStep._fields)) for s in steps] == ref_steps
+    for gamma in gammas:
+        _, _, ref_flags = _run_greedy(g, gamma)
+        assert [s.bundles < gamma for s in steps] == ref_flags
+        assert greedy_applicability(g, gamma) == (ref_flags, all(ref_flags))
+
+
+@st.composite
+def greedy_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    weight = draw(
+        st.sampled_from(
+            [
+                st.floats(min_value=0.5, max_value=1.5),  # uniform
+                st.integers(min_value=1, max_value=3).map(float),  # small integers
+                st.just(1.0),  # unit: every bundle of one size ties
+                st.integers(min_value=1, max_value=3).map(lambda k: k / 10),  # float ties
+                st.floats(min_value=-8, max_value=8).map(lambda e: 10.0**e),  # wide range
+            ]
+        )
+    )
+    density = draw(st.sampled_from([0.3, 0.6, 1.0]))  # sparse draws are often disconnected
+    w = np.zeros((n, n))
+    for u, v in itertools.combinations(range(n), 2):
+        if draw(st.floats(min_value=0.0, max_value=1.0)) < density:
+            w[u, v] = w[v, u] = draw(weight)
+    return WeightedGraph(w)
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=greedy_graphs())
+@example(g=WeightedGraph(np.zeros((1, 1))))
+@example(g=WeightedGraph.from_edges(2, [(0, 1, 0.7)]))
+@example(g=WeightedGraph(np.zeros((2, 2))))
+def test_engine_matches_reference(g):
+    # integer gammas pin every step's bundle count exactly
+    assert_matches_reference(g, [0.5, *range(1, g.n + 1)])
+
+
+@pytest.mark.parametrize(
+    "n, dist, gamma",
+    [
+        (40, "uniform:0.5:1.5", 2.0),
+        (60, "constant:0.7", 1.5),
+        (60, "two_point:0.3:0.1:0.3", 4.0),
+        (100, "uniform:0.5:1.5", 4.0),
+    ],
+)
+def test_engine_matches_reference_on_planted(n, dist, gamma):
+    g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=n).graph
+    assert_matches_reference(g, [gamma, 2.0 * gamma])
 
 
 def test_greedy_c4(c4):

@@ -31,6 +31,14 @@ def test_validation_rejects_bad_matrices():
         WeightedGraph(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_validation_rejects_non_finite_weights(bad):
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        WeightedGraph(w)
+
+
 def test_graph_is_immutable(k2):
     with pytest.raises(ValueError):
         k2.weights[0, 1] = 5.0
@@ -175,7 +183,9 @@ def test_load_accepts_comments_and_rejects_junk():
     with pytest.raises(ValidationError):
         loads_graph("2 1\n1 0 1.0\n")  # u >= v
     with pytest.raises(ValidationError):
-        loads_graph("2 2\n0 1 1.0\n0 1 2.0\n")  # duplicate
+        loads_graph("3 2\n0 1 1.0\n0 1 2.0\n")  # duplicate
+    with pytest.raises(ValidationError, match="vertex pairs"):
+        loads_graph("2 2\n0 1 1.0\n0 1 2.0\n")  # more edges than vertex pairs
     with pytest.raises(ValidationError):
         loads_graph("2 1\n0 1 0.0\n")  # nonpositive weight
     with pytest.raises(ValidationError):
