@@ -57,6 +57,7 @@ from .oracle import (
 from .spectral import (
     ConditionVerdict,
     SpectralCertificate,
+    bottom_spectrum,
     build_certificate,
     build_diagonal_from_cut,
     eigen_smallest_two,

@@ -140,10 +140,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if "oracle" in solvers and args.solver == "all" and g.n > limit:
         solvers.remove("oracle")
 
-    iter_log = None
+    iter_log = on_iteration = None
     if args.iter_log:
         iter_log = open(args.iter_log, "w", encoding="ascii")
         iter_log.write("iter,trace,lambda_min,gap\n")
+
+        def on_iteration(i: int, tr: float, lam: float, gap: float) -> None:
+            iter_log.write(f"{i},{tr!r},{lam!r},{gap!r}\n")
 
     try:
         rep = report.build_run_report(
@@ -157,19 +160,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             oracle_limit=limit,
             timing=not args.no_timing,
             gamma_hint=args.gamma,
+            on_iteration=on_iteration,
         )
-        if iter_log is not None and "dual" in solvers:
-            # Rerun the dual solve with the logger; the solver is
-            # deterministic so the trajectory matches the reported one.
-            dualsdp.solve_min_trace(
-                g,
-                tol=args.tol,
-                max_iter=args.max_iter,
-                seed=args.seed,
-                on_iteration=lambda i, tr, lam, gap: iter_log.write(
-                    f"{i},{tr!r},{lam!r},{gap!r}\n"
-                ),
-            )
     finally:
         if iter_log is not None:
             iter_log.close()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import Cut, WeightedGraph
-from .spectral import build_diagonal_from_cut, eigen_smallest_two
+from .spectral import bottom_spectrum, build_certificate, build_diagonal_from_cut
 
 __all__ = [
     "DualSolution",
@@ -66,12 +66,6 @@ def _cut_quadratic(w: np.ndarray, signs: np.ndarray) -> float:
     """-c'Wc, i.e. 2 * (cut weight - uncut weight)."""
     s = signs.astype(np.float64)
     return float(-(s @ w @ s))
-
-
-def _with_diag(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    m = w.copy()
-    m[np.diag_indices(w.shape[0])] = d
-    return m
 
 
 def polish_cut(g: WeightedGraph, c: Cut) -> Cut:
@@ -138,7 +132,7 @@ def solve_min_trace(
         # The kernel diagonal of this cut is the tightest certificate it can
         # get; adopt it whenever it is (restorably) feasible and better.
         dc = build_diagonal_from_cut(g, cut)
-        lam, _, _ = eigen_smallest_two(_with_diag(w, dc))
+        lam, _, _ = bottom_spectrum(g, dc)
         shift = max(0.0, -lam)
         trace_c = float(dc.sum()) + n * shift
         if trace_c < best_trace:
@@ -148,7 +142,7 @@ def solve_min_trace(
 
     for t in range(1, max_iter + 1):
         iterations = t
-        lam, u, _ = eigen_smallest_two(_with_diag(w, d))
+        lam, u, _ = bottom_spectrum(g, d)
         shift = max(0.0, -lam)
         trace_f = float(d.sum()) + n * shift
         if trace_f < best_trace:
@@ -208,18 +202,15 @@ def certify_cut(g: WeightedGraph, c: Cut, tol: float = DEFAULT_TOL) -> CutCertif
 
     psd = True proves c is a maximum cut; residual is the max-norm of
     (W + diag(d)) c and m_check confirms trace(d) = -c'Wc numerically.
+    Both are read off spectral.build_certificate.
     """
-    from .spectral import is_psd
-
-    d = build_diagonal_from_cut(g, c)
-    m = _with_diag(g.weights, d)
-    residual = float(np.abs(m @ c.as_float()).max()) if g.n else 0.0
-    trace = float(d.sum())
+    cert = build_certificate(g, c)
+    trace = float(cert.diag_shift.sum())
     quad = _cut_quadratic(g.weights, c.signs)
     m_check = abs(trace - quad) <= tol * max(1.0, abs(trace))
     return CutCertificate(
-        psd=is_psd(m),
-        residual=residual,
+        psd=cert.psd,
+        residual=cert.residual,
         m_check=m_check,
         trace=trace,
         quadratic=quad,
@@ -245,7 +236,7 @@ def extended_spectral_solve(
     against the original graph.
     """
     sol = solve_min_trace(g, tol=tol, max_iter=max_iter, seed=seed, on_iteration=on_iteration)
-    _, u, _ = eigen_smallest_two(_with_diag(g.weights, sol.d))
+    _, u, _ = bottom_spectrum(g, sol.d)
     cut = polish_cut(g, Cut(_round_eigvec(u)))
     if sol.best_cut is not None:
         if _cut_quadratic(g.weights, sol.best_cut.signs) >= _cut_quadratic(
@@ -268,7 +259,7 @@ def extended_spectral_solve(
         factors = factors + factors.T
         jittered = WeightedGraph(g.weights * factors)
         sol2 = solve_min_trace(jittered, tol=tol, max_iter=max_iter, seed=seed)
-        _, u2, _ = eigen_smallest_two(_with_diag(jittered.weights, sol2.d))
+        _, u2, _ = bottom_spectrum(jittered, sol2.d)
         cut2 = polish_cut(g, Cut(_round_eigvec(u2)))
         if sol2.best_cut is not None:
             cut2b = polish_cut(g, sol2.best_cut)
@@ -279,7 +270,7 @@ def extended_spectral_solve(
         cert = certify_cut(g, cut2, tol=tol)
         if cert.psd:
             shiftd = build_diagonal_from_cut(g, cut2)
-            lam, _, _ = eigen_smallest_two(_with_diag(g.weights, shiftd))
+            lam, _, _ = bottom_spectrum(g, shiftd)
             shift = max(0.0, -lam)
             trace = float(shiftd.sum()) + g.n * shift
             quad = _cut_quadratic(g.weights, cut2.signs)

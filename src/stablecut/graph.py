@@ -7,7 +7,8 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import io
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +43,17 @@ class WeightedGraph:
 
     The unweighted *support* is the graph of strictly positive entries;
     simple-degree statistics refer to it.
+
+    `_spectra` memoizes spectral.bottom_spectrum: the bottom of the spectrum
+    of W + diag(d), keyed by the bytes of d (None for W itself), so equal
+    keys mean a bit-identical matrix.  It holds W's entry plus at most
+    spectral.SPECTRUM_MEMO_SIZE shifted entries, least recently used first
+    out, and lives and dies with this graph: nothing is shared between
+    graphs, so a file loaded twice is solved twice.
     """
 
     weights: np.ndarray
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -80,7 +89,7 @@ class WeightedGraph:
     def edges(self) -> list[tuple[int, int, float]]:
         """Support edges as (u, v, w) with u < v, sorted."""
         iu, ju = np.nonzero(np.triu(self.support))
-        return [(int(u), int(v), float(self.weights[u, v])) for u, v in zip(iu, ju)]
+        return list(zip(iu.tolist(), ju.tolist(), self.weights[iu, ju].tolist()))
 
     def is_simple(self) -> bool:
         """True when every support edge has weight exactly 1."""
@@ -247,20 +256,81 @@ def merge_vertices(g: WeightedGraph, i: int, j: int) -> tuple[WeightedGraph, np.
 # --- graph file format -------------------------------------------------
 #
 # Text format, bit-exact under load/save round trips:
-#   optional '#' comment lines, a header "n m", then m lines "u v w"
-#   with 0 <= u < v < n and w a positive decimal.
+#   lines that are blank or whose first non-blank character is '#' are
+#   skipped (line breaks as str.splitlines); the first other line is the
+#   header "n m"; every later line is an edge "u v w" of three whitespace-
+#   separated tokens, u and v parsed by int() and w by float(), with
+#   0 <= u < v < n, w positive and finite (1e400 is read as inf and
+#   rejected), and no (u, v) pair twice.
 #
-# The header is checked before the dense n x n matrix is allocated: n may
-# not exceed MAX_FILE_VERTICES (128 MiB of weights) and m may not exceed
-# n(n-1)/2.
+# Errors (ValidationError, exit 2; SizeLimitError, exit 4) are raised in
+# this order: empty file; bad header; negative counts; n > MAX_FILE_VERTICES
+# (exit 4); m > n(n-1)/2; m != number of edge lines.  All of these are
+# checked before the dense n x n matrix is allocated.  Then the first edge
+# line that fails a check is reported, with the first failing check on
+# that line: token count or int/float parse ("bad edge line"), endpoints,
+# weight, duplicate of an earlier line.
+#
+# Edge lines are read column-wise, by numpy.loadtxt where it reads what
+# int() and float() read.  On ASCII text it splits on the same whitespace
+# as str.split, its int64 parse accepts only [+-]digits within range, and
+# its float parse is the one float() uses (PyOS_string_to_double, minus
+# float()'s underscores).  It misreads some non-ASCII letters as digits,
+# so other text never reaches it, and older numpy parsed a float token
+# such as '1.0' into an int field (with a DeprecationWarning), so there
+# the block must first match _PLAIN_EDGE_LINES.  A block loadtxt rejects
+# or may misread is read line by line with int() and float() up to the
+# first line they reject.  The checks then run as masks over the columns.
 
 MAX_FILE_VERTICES = 4096
 
+_EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_PLAIN_EDGE_LINES = re.compile(r"(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]+[0-9.eE+-]+\n)*")
+
+
+def _loadtxt_ints_strict() -> bool:
+    """True when numpy.loadtxt rejects '1.0' for an integer field."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            np.loadtxt(["1.0"], dtype=np.int64)
+    except ValueError:
+        return True
+    return False
+
+
+_LOADTXT_INTS_STRICT = _loadtxt_ints_strict()
+
+
+def _edge_columns(body: list[str], n: int, ascii_text: bool) -> np.ndarray:
+    """The edge lines as (u, v, w) rows, up to the first line whose tokens
+    do not parse; out-of-range endpoints may be read as -1."""
+    if not body:
+        return np.zeros(0, _EDGE_DTYPE)
+    if ascii_text and (
+        _LOADTXT_INTS_STRICT or _PLAIN_EDGE_LINES.fullmatch("\n".join(body) + "\n")
+    ):
+        try:
+            return np.loadtxt(body, dtype=_EDGE_DTYPE, comments=None, ndmin=1)
+        except ValueError:
+            pass
+    rows = []
+    for ln in body:
+        parts = ln.split()
+        if len(parts) != 3:
+            break
+        try:
+            u, v, wt = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            break
+        rows.append((u if 0 <= u < n else -1, v if 0 <= v < n else -1, wt))
+    return np.array(rows, dtype=_EDGE_DTYPE)
+
 
 def loads_graph(text: str) -> WeightedGraph:
-    lines = [
-        ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = list(filter(str.strip, text.splitlines()))
+    if "#" in text:
+        lines = [ln for ln in lines if not ln.lstrip().startswith("#")]
     if not lines:
         raise ValidationError("empty graph file")
     header = lines[0].split()
@@ -276,36 +346,41 @@ def loads_graph(text: str) -> WeightedGraph:
         raise SizeLimitError(f"n={n} exceeds the graph file limit of {MAX_FILE_VERTICES} vertices")
     if m > n * (n - 1) // 2:
         raise ValidationError(f"m={m} exceeds the {n * (n - 1) // 2} vertex pairs of n={n}")
-    if len(lines) - 1 != m:
-        raise ValidationError(f"expected {m} edge lines, found {len(lines) - 1}")
+    body = lines[1:]
+    if len(body) != m:
+        raise ValidationError(f"expected {m} edge lines, found {len(body)}")
+
+    cols = _edge_columns(body, n, text.isascii())
+    u, v, wt = cols["u"], cols["v"], cols["w"]
+    bad_ends = ~((0 <= u) & (u < v) & (v < n))
+    bad = np.flatnonzero(bad_ends | ~((wt > 0) & np.isfinite(wt)))
+    first = int(bad[0]) if bad.size else len(cols)
+    # The lines before `first` are valid edges; fewer nonzero entries than
+    # lines means one of them repeats an earlier pair.
     w = np.zeros((n, n))
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValidationError(f"bad edge line: {ln!r}")
-        try:
-            u, v, wt = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ValidationError(f"bad edge line: {ln!r}") from exc
-        if not (0 <= u < v < n):
-            raise ValidationError(f"edge endpoints must satisfy 0 <= u < v < n: {ln!r}")
-        if wt <= 0 or not np.isfinite(wt):
-            raise ValidationError(f"edge weight must be a positive decimal: {ln!r}")
-        if w[u, v] != 0:
-            raise ValidationError(f"duplicate edge ({u}, {v})")
-        w[u, v] = wt
-        w[v, u] = wt
+    w[u[:first], v[:first]] = wt[:first]
+    if np.count_nonzero(w) < first:
+        seen = set()
+        for pair in zip(u[:first].tolist(), v[:first].tolist()):
+            if pair in seen:
+                raise ValidationError(f"duplicate edge {pair}")
+            seen.add(pair)
+    if first < len(cols):
+        if bad_ends[first]:
+            raise ValidationError(
+                f"edge endpoints must satisfy 0 <= u < v < n: {body[first]!r}"
+            )
+        raise ValidationError(f"edge weight must be a positive decimal: {body[first]!r}")
+    if len(cols) < m:
+        raise ValidationError(f"bad edge line: {body[len(cols)]!r}")
+    w[v, u] = wt
     return WeightedGraph(w)
 
 
 def dumps_graph(g: WeightedGraph) -> str:
     """Canonical text form: header then edges sorted by (u, v)."""
-    buf = io.StringIO()
     edges = g.edges()
-    buf.write(f"{g.n} {len(edges)}\n")
-    for u, v, wt in edges:
-        buf.write(f"{u} {v} {wt!r}\n")
-    return buf.getvalue()
+    return f"{g.n} {len(edges)}\n" + "".join(f"{u} {v} {wt!r}\n" for u, v, wt in edges)
 
 
 def load_graph(path: str) -> WeightedGraph:

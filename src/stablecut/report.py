@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import time
+from typing import Callable
 
 import numpy as np
 
 from . import combinatorial, dualsdp, oracle, spectral
 from .errors import ValidationError
-from .graph import Cut, WeightedGraph
+from .graph import Cut, WeightedGraph, cut_value
 
 SCHEMA_ID = "stablecut-run-report/1"
 
@@ -47,7 +48,7 @@ def solver_entry_greedy(g: WeightedGraph, gamma_hint: float | None, timing: bool
     cut, trace = combinatorial.find_max_cut_greedy(g)
     entry = {
         "cut": cut.signs.tolist(),
-        "value": cut_value_of(g, cut),
+        "value": cut_value(g, cut),
         "wall_ms": t.ms(),
         "trace": [s.to_json() for s in trace],
     }
@@ -62,7 +63,7 @@ def solver_entry_contract(g: WeightedGraph, timing: bool) -> dict:
     result = combinatorial.high_degree_solve(g)
     return {
         "cut": result.cut.signs.tolist(),
-        "value": cut_value_of(g, result.cut),
+        "value": cut_value(g, result.cut),
         "wall_ms": t.ms(),
         "gamma": result.gamma,
         "component_count": result.component_count,
@@ -76,21 +77,27 @@ def solver_entry_spectral(g: WeightedGraph, timing: bool) -> dict:
     cut = spectral.spectral_partition(g)
     return {
         "cut": cut.signs.tolist(),
-        "value": cut_value_of(g, cut),
+        "value": cut_value(g, cut),
         "wall_ms": t.ms(),
     }
 
 
 def solver_entry_dual(
-    g: WeightedGraph, tol: float, max_iter: int, seed: int, jitter: bool, timing: bool
+    g: WeightedGraph,
+    tol: float,
+    max_iter: int,
+    seed: int,
+    jitter: bool,
+    timing: bool,
+    on_iteration: Callable[[int, float, float, float], None] | None = None,
 ) -> dict:
     t = _Timer(timing)
     cut, sol, certified = dualsdp.extended_spectral_solve(
-        g, tol=tol, max_iter=max_iter, seed=seed, jitter_retry=jitter
+        g, tol=tol, max_iter=max_iter, seed=seed, jitter_retry=jitter, on_iteration=on_iteration
     )
     return {
         "cut": cut.signs.tolist(),
-        "value": cut_value_of(g, cut),
+        "value": cut_value(g, cut),
         "wall_ms": t.ms(),
         "certified": certified,
         "trace": sol.trace,
@@ -125,12 +132,6 @@ def solver_entry_oracle(
     return entry, profile
 
 
-def cut_value_of(g: WeightedGraph, c: Cut) -> float:
-    from .graph import cut_value
-
-    return cut_value(g, c)
-
-
 def oracle_section(g: WeightedGraph, limit: int) -> dict:
     return oracle.stability_report(g, limit).to_json()
 
@@ -143,9 +144,8 @@ def conditions_section(
 ) -> dict:
     cert = spectral.build_certificate(g, candidate)
     basic, refined = spectral.spectral_gamma_requirement(g, cert.eigvec)
-    spectrum = spectral.eigen_smallest_two(g.weights)
-    holds, margin = spectral.psd_sufficient_margin(g, candidate, spectrum)
-    verdicts = spectral.family_condition_checks(g, candidate, oracle_limit, profile, spectrum)
+    holds, margin = spectral.psd_sufficient_margin(g, candidate)
+    verdicts = spectral.family_condition_checks(g, candidate, oracle_limit, profile)
     gamma_local = oracle.local_stability_gamma(g, candidate)
     capped = min(gamma_local, spectral.LOCAL_GAMMA_CAP)
     stable_bound = spectral.stable_gw_bound(max(1.0, capped))
@@ -159,7 +159,7 @@ def conditions_section(
         "tolerance_note": "ratio-dependent bound vs unconditional floor; max labeled 'best'",
     }
     if total > 0:
-        r = cut_value_of(g, candidate) / total
+        r = cut_value(g, candidate) / total
         if 0.5 <= r <= 1.0:
             gw["achieved_ratio"] = r
             gw["achieved_bound"] = spectral.gw_bound(r)
@@ -189,7 +189,10 @@ def build_run_report(
     oracle_limit: int,
     timing: bool,
     gamma_hint: float | None = None,
+    on_iteration: Callable[[int, float, float, float], None] | None = None,
 ) -> dict:
+    """The run report; `on_iteration` receives the dual solver's iterations
+    (see dualsdp.solve_min_trace) as they happen."""
     attach = g.n <= min(AUTO_ORACLE_ATTACH, oracle_limit)
     profile = None
     entries: dict[str, dict] = {}
@@ -204,7 +207,7 @@ def build_run_report(
         elif name == "spectral":
             entries[name] = solver_entry_spectral(g, timing)
         elif name == "dual":
-            entries[name] = solver_entry_dual(g, tol, max_iter, seed, True, timing)
+            entries[name] = solver_entry_dual(g, tol, max_iter, seed, True, timing, on_iteration)
         elif name == "oracle":
             entries[name], profile = solver_entry_oracle(g, oracle_limit, timing, attach)
         else:

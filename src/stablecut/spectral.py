@@ -6,6 +6,7 @@ Max-Cut, plus the Goemans-Williamson bound specialization to stable inputs.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,9 @@ __all__ = [
     "GW_FLOOR",
     "SpectralCertificate",
     "ConditionVerdict",
+    "SPECTRUM_MEMO_SIZE",
     "eigen_smallest_two",
+    "bottom_spectrum",
     "spectral_partition",
     "build_diagonal_from_cut",
     "is_psd",
@@ -39,15 +42,21 @@ LOCAL_GAMMA_CAP = 1e12
 # Unconditional Goemans-Williamson guarantee, printed alongside the
 # ratio-dependent bound.
 GW_FLOOR = 0.8786
+# Shifted matrices whose bottom spectrum a graph remembers (W's own entry
+# is kept besides them); see WeightedGraph and bottom_spectrum.
+SPECTRUM_MEMO_SIZE = 4
+# Guards every graph's memo; graphs may be shared between threads.
+_SPECTRA_LOCK = threading.Lock()
 
 
 def _as_sym(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    if m.size and float(np.abs(m - m.T).max()) > 1e-12 * scale:
-        raise ValidationError("matrix must be symmetric within 1e-12")
+    if not (m == m.T).all():  # exactly symmetric needs no scale
+        scale = max(1.0, float(np.abs(m).max()))
+        if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+            raise ValidationError("matrix must be symmetric within 1e-12")
     return m
 
 
@@ -67,13 +76,42 @@ def eigen_smallest_two(m: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 def _shifted(g: WeightedGraph, d: np.ndarray | None) -> np.ndarray:
+    """W + diag(d) as a new matrix; W itself when d is None."""
     m = g.weights.copy()
+    if d is not None:
+        m.reshape(-1)[:: g.n + 1] = d
+    return m
+
+
+def bottom_spectrum(
+    g: WeightedGraph, d: np.ndarray | None = None
+) -> tuple[float, np.ndarray, float]:
+    """eigen_smallest_two(W + diag(d)), solved once per distinct d per graph.
+
+    The result is memoized on g under the bytes of d (None for W), so a
+    repeated d returns exactly what a fresh solve would; the eigenvector is
+    shared and therefore read-only.  W's entry stays, and the shifted
+    entries beyond SPECTRUM_MEMO_SIZE are dropped least recently used first.
+    """
     if d is not None:
         d = np.asarray(d, dtype=np.float64)
         if d.shape != (g.n,):
             raise ValidationError(f"diagonal shift must have length {g.n}")
-        m[np.diag_indices(g.n)] = d
-    return m
+    key = None if d is None else d.tobytes()
+    memo = g._spectra
+    with _SPECTRA_LOCK:
+        spectrum = memo.pop(key, None)
+    if spectrum is None:
+        spectrum = eigen_smallest_two(_shifted(g, d))
+        spectrum[1].setflags(write=False)
+    with _SPECTRA_LOCK:
+        memo[key] = spectrum
+        if len(memo) - (None in memo) > SPECTRUM_MEMO_SIZE:
+            for k in memo:
+                if k is not None:
+                    del memo[k]
+                    break
+    return spectrum
 
 
 def spectral_partition(g: WeightedGraph, d: np.ndarray | None = None) -> Cut:
@@ -81,7 +119,7 @@ def spectral_partition(g: WeightedGraph, d: np.ndarray | None = None) -> Cut:
 
     Entries > 0 go to one side, entries <= 0 to the other; d defaults to zero.
     """
-    _, u, _ = eigen_smallest_two(_shifted(g, d))
+    _, u, _ = bottom_spectrum(g, d)
     signs = np.where(u > 0, 1, -1).astype(np.int8)
     return Cut(signs)
 
@@ -148,20 +186,16 @@ def _capped(gamma: float) -> float:
     return min(gamma, LOCAL_GAMMA_CAP)
 
 
-def psd_sufficient_margin(
-    g: WeightedGraph, c: Cut, spectrum: tuple[float, np.ndarray, float] | None = None
-) -> tuple[bool, float]:
+def psd_sufficient_margin(g: WeightedGraph, c: Cut) -> tuple[bool, float]:
     """Margin 2*delta~*(gamma-1)/(gamma+1) + lam_n + lam_{n-1} for the cut c.
 
     gamma is the local stability of c (capped when infinite) and the
-    eigenvalues are those of W itself, read off `spectrum` (the result of
-    eigen_smallest_two(g.weights)) when the caller already has it.  A
-    positive margin guarantees W + diag(build_diagonal_from_cut(g, c)) is
-    positive semidefinite.
+    eigenvalues are those of W itself.  A positive margin guarantees
+    W + diag(build_diagonal_from_cut(g, c)) is positive semidefinite.
     """
     gamma = _capped(oracle.local_stability_gamma(g, c))
     delta_t = weighted_degrees(g).min_weighted
-    lam_n, _, lam_n1 = spectrum if spectrum is not None else eigen_smallest_two(g.weights)
+    lam_n, _, lam_n1 = bottom_spectrum(g)
     margin = 2.0 * delta_t * (gamma - 1.0) / (gamma + 1.0) + lam_n + lam_n1
     return margin > 0, float(margin)
 
@@ -200,7 +234,6 @@ def family_condition_checks(
     c: Cut,
     oracle_limit: int = 16,
     profile: oracle.StabilityReport | None = None,
-    spectrum: tuple[float, np.ndarray, float] | None = None,
 ) -> list[ConditionVerdict]:
     """Evaluate the graph-family conditions under which the shifted spectral
     route is guaranteed: equal weighted degrees, regular expanders, Cheeger
@@ -210,13 +243,12 @@ def family_condition_checks(
     preconditions that fail mark the check not-applicable rather than false.
     Checks needing exhaustive quantities (Cheeger constant, distinctness)
     are skipped above `oracle_limit` vertices; they read both off one exact
-    stability profile, `profile` when the caller already has it.  The bottom
-    of W's spectrum is `spectrum` (eigen_smallest_two(g.weights)) when given.
+    stability profile, `profile` when the caller already has it.
     """
     verdicts: list[ConditionVerdict] = []
     gamma = _capped(oracle.local_stability_gamma(g, c))
     stats = weighted_degrees(g)
-    lam_n, _, lam_n1 = spectrum if spectrum is not None else eigen_smallest_two(g.weights)
+    lam_n, _, lam_n1 = bottom_spectrum(g)
 
     wdeg = stats.weighted
     equal_w = g.n > 0 and float(np.ptp(wdeg)) <= 1e-9 * max(1.0, float(np.abs(wdeg).max()))
@@ -318,7 +350,7 @@ def build_certificate(g: WeightedGraph, c: Cut) -> SpectralCertificate:
     """Certificate for c: kernel diagonal, bottom spectrum, PSD flag, residual."""
     d = build_diagonal_from_cut(g, c)
     m = _shifted(g, d)
-    lam_n, u, lam_n1 = eigen_smallest_two(m)
+    lam_n, u, lam_n1 = bottom_spectrum(g, d)
     residual = float(np.abs(m @ c.as_float()).max()) if g.n else 0.0
     return SpectralCertificate(
         lambda_n=lam_n,

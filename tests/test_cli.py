@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from stablecut import (
-    WeightedGraph, combinatorial, dumps_graph, graph, load_graph, oracle, stability_report,
+    WeightedGraph, combinatorial, dualsdp, dumps_graph, graph, load_graph, oracle,
+    stability_report,
 )
 from stablecut.cli import main
 
@@ -245,6 +246,54 @@ def test_solve_iter_log(tmp_path, capsys):
     lines = log.read_text().splitlines()
     assert lines[0] == "iter,trace,lambda_min,gap"
     assert len(lines) >= 2
+
+
+def test_iter_log_records_the_reported_dual_run(tmp_path, capsys, monkeypatch):
+    tri = _write_triangle(tmp_path)
+    calls = []
+    solve = dualsdp.solve_min_trace
+    monkeypatch.setattr(
+        dualsdp, "solve_min_trace", lambda *a, **k: calls.append(a[0].n) or solve(*a, **k)
+    )
+    argv = ["solve", "--solver", "dual", "--no-timing", "--max-iter", "300", tri]
+    assert main(argv) == 0
+    plain = len(calls)
+    log = tmp_path / "iters.csv"
+    assert main(argv[:-1] + ["--iter-log", str(log), tri]) == 0
+    assert len(calls) == 2 * plain
+    # the rows are the trajectory of the run the report describes
+    rows = []
+    solve(
+        load_graph(tri), max_iter=300,
+        on_iteration=lambda i, tr, lam, gap: rows.append(f"{i},{tr!r},{lam!r},{gap!r}"),
+    )
+    assert log.read_text().splitlines() == ["iter,trace,lambda_min,gap"] + rows
+
+
+def _count_eigh(monkeypatch) -> list:
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+    return calls
+
+
+def test_solve_eigensolves_each_matrix_once(tmp_path, capsys, monkeypatch):
+    gen = ["gen", "planted", "--n", "40", "--gamma", "4", "--seed", "3", "-o", str(tmp_path)]
+    assert main(gen) == 0
+    path = capsys.readouterr().out.strip()
+    calls = _count_eigh(monkeypatch)
+    argv = ["solve", "--solver", "all", "--gamma", "4", "--no-timing", path]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solvers"]["dual"]["certified"] and doc["solvers"]["dual"]["iterations"] == 1
+    # W, the first dual iterate and the certified cut's kernel matrix (and
+    # the dual's final matrix when its shift is not exactly 0); W and the
+    # kernel matrix were solved twice and three times before
+    first = len(calls)
+    assert 3 <= first <= 4
+    # each op re-solves: nothing is remembered across graphs
+    assert main(argv) == 0
+    assert len(calls) == 2 * first
 
 
 def test_bench_deterministic_and_correct(tmp_path):

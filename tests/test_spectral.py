@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from stablecut import (
     DomainError,
     ValidationError,
     WeightedGraph,
+    bottom_spectrum,
     brute_force_max_cut,
     build_certificate,
     build_diagonal_from_cut,
@@ -25,6 +29,7 @@ from stablecut import (
     stability_report,
     stable_gw_bound,
 )
+from stablecut import spectral
 
 from conftest import random_weighted
 
@@ -56,6 +61,9 @@ def test_eigen_p3(p3):
 def test_eigen_rejects_asymmetric():
     with pytest.raises(ValidationError):
         eigen_smallest_two(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # asymmetry within 1e-12 of the largest entry is accepted
+    lam, _, lam1 = eigen_smallest_two(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
+    assert (lam, lam1) == pytest.approx((-1.0, 1.0))
 
 
 def test_eigen_residual_on_random_matrices():
@@ -230,3 +238,112 @@ def test_local_stability_feeds_gw(c4):
     gamma = local_stability_gamma(c4, Cut(np.array([1, -1, 1, -1])))
     assert math.isinf(gamma)
     assert stable_gw_bound(1e12) == pytest.approx(1.0, abs=1e-5)
+
+
+def _count_solves(monkeypatch) -> list:
+    solved = []
+    solve = spectral.eigen_smallest_two
+    monkeypatch.setattr(spectral, "eigen_smallest_two", lambda m: solved.append(m) or solve(m))
+    return solved
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=5_000))
+def test_bottom_spectrum_is_eigen_smallest_two_of_the_shifted_matrix(n, seed):
+    g = random_weighted(n, seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    d = rng.normal(size=n)
+    for shift in (None, d, d.copy(), None):
+        lam, u, lam1 = bottom_spectrum(g, shift)
+        m = g.weights if shift is None else g.weights + np.diag(shift)
+        ref_lam, ref_u, ref_lam1 = eigen_smallest_two(m)
+        assert (lam, lam1) == (ref_lam, ref_lam1)
+        assert np.array_equal(u, ref_u)
+
+
+def test_bottom_spectrum_solves_each_diagonal_once(monkeypatch, c4):
+    solved = _count_solves(monkeypatch)
+    d = np.array([2.0, 2.0, 2.0, 2.0])
+    first = bottom_spectrum(c4, d)
+    assert bottom_spectrum(c4, d.copy()) is first
+    assert bottom_spectrum(c4) is bottom_spectrum(c4)
+    assert len(solved) == 2
+    with pytest.raises(ValueError):
+        first[1][0] = 0.0  # shared between callers, so read-only
+    # a bit-different diagonal is a different matrix
+    bottom_spectrum(c4, d + np.array([0.0, 0.0, 0.0, 1e-15]))
+    assert len(solved) == 3
+    # another graph with equal weights has its own memo
+    bottom_spectrum(WeightedGraph(c4.weights.copy()), d)
+    assert len(solved) == 4
+
+
+def test_bottom_spectrum_memo_is_bounded_and_keeps_w(monkeypatch, c4):
+    solved = _count_solves(monkeypatch)
+    bottom_spectrum(c4)
+    shifts = [np.full(4, float(k)) for k in range(spectral.SPECTRUM_MEMO_SIZE + 3)]
+    for d in shifts:
+        bottom_spectrum(c4, d)
+    assert len(c4._spectra) == spectral.SPECTRUM_MEMO_SIZE + 1
+    n_solved = len(solved)
+    bottom_spectrum(c4)  # W stays
+    kept = shifts[-spectral.SPECTRUM_MEMO_SIZE :]
+    for d in kept:  # the latest shifts stay; reading kept[0] makes kept[1] the oldest
+        bottom_spectrum(c4, d)
+    bottom_spectrum(c4, kept[0])
+    assert len(solved) == n_solved
+    bottom_spectrum(c4, shifts[0])  # dropped before, and now drops kept[1]
+    bottom_spectrum(c4, kept[0])
+    assert len(solved) == n_solved + 1
+    bottom_spectrum(c4, kept[1])
+    assert len(solved) == n_solved + 2
+
+
+def test_bottom_spectrum_rejects_wrong_length(c4):
+    with pytest.raises(ValidationError):
+        bottom_spectrum(c4, np.ones(3))
+    with pytest.raises(ValidationError):
+        bottom_spectrum(c4, np.ones((4, 1)))
+
+
+class _SwitchingDict(dict):
+    """A memo that lets other threads run while it is iterated."""
+
+    def __iter__(self):
+        for key in list(super().__iter__()):
+            time.sleep(0)
+            yield key
+
+
+def test_bottom_spectrum_shared_between_threads():
+    g = random_weighted(8, 11)
+    object.__setattr__(g, "_spectra", _SwitchingDict())
+    shifts = [None] + [np.full(8, float(k)) for k in range(2 * spectral.SPECTRUM_MEMO_SIZE)]
+    expected = [
+        eigen_smallest_two(g.weights if d is None else g.weights + np.diag(d)) for d in shifts
+    ]
+    errors = []
+
+    def worker(offset: int) -> None:
+        try:
+            for i in range(200):
+                j = (i + offset) % len(shifts)
+                lam, u, lam1 = bottom_spectrum(g, shifts[j])
+                if (lam, lam1) != expected[j][::2] or not np.array_equal(u, expected[j][1]):
+                    errors.append(j)
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(g._spectra) <= spectral.SPECTRUM_MEMO_SIZE + 1
