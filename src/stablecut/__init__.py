@@ -9,9 +9,7 @@ from .combinatorial import (
     high_degree_solve,
 )
 from .dualsdp import (
-    CutCertificate,
     DualSolution,
-    certify_cut,
     extended_spectral_solve,
     polish_cut,
     solve_min_trace,
@@ -41,7 +39,6 @@ from .graph import (
     dumps_graph,
     load_graph,
     loads_graph,
-    merge_vertices,
     save_graph,
     weighted_degrees,
 )

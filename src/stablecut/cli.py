@@ -2,8 +2,9 @@
 
 Subcommands: gen {planted|gnp|scale|amplify}, solve, verify, spectrum,
 bench.  Exit codes: 0 success, 2 usage/validation, 3 guarantee-not-met,
-4 size-limit.  All randomness flows from --seed; pass --no-timing to zero
-wall-clock fields so reruns are byte-identical.
+4 size-limit.  Only gen planted, gen gnp, gen scale and bench draw random
+numbers, each from its --seed; solve, verify and spectrum are deterministic.
+Pass --no-timing to zero wall-clock fields so reruns are byte-identical.
 
 The env var STABLECUT_ORACLE_LIMIT overrides the exhaustive-enumeration cap
 (an integer in 1..32, default 22); any other value exits 2.  A graph file
@@ -154,7 +155,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             solvers=solvers,
             path=args.graph,
             generator_meta=_sidecar_for(args.graph),
-            seed=args.seed,
             tol=args.tol,
             max_iter=args.max_iter,
             oracle_limit=limit,
@@ -258,9 +258,7 @@ def _bench_cell(
         g = inst.graph
         t0 = time.perf_counter()
         if solver == "dual":
-            cut, _, cert = dualsdp.extended_spectral_solve(
-                g, tol=tol, max_iter=max_iter, seed=seed_i
-            )
+            cut, _, cert = dualsdp.extended_spectral_solve(g, tol=tol, max_iter=max_iter)
         elif solver == "greedy":
             cut, steps = combinatorial.find_max_cut_greedy(g)
             cert = all(s.bundles < gamma for s in steps)
@@ -368,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser("solve", help="run solvers and emit a JSON run report")
     sv.add_argument("graph")
     sv.add_argument("--solver", default="all", choices=list(_SOLVERS) + ["all"])
-    sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--tol", type=float, default=dualsdp.DEFAULT_TOL)
     sv.add_argument("--max-iter", type=int, default=dualsdp.DEFAULT_MAX_ITER)
     sv.add_argument("--gamma", type=float, default=None, help="stability hint for greedy applicability")

@@ -240,15 +240,6 @@ class HighDegreeResult:
     used_exhaustive: bool
     heuristic: bool
 
-    def to_json(self) -> dict:
-        return {
-            "cut": self.cut.signs.tolist(),
-            "gamma": self.gamma,
-            "component_count": self.component_count,
-            "used_exhaustive": self.used_exhaustive,
-            "heuristic": self.heuristic,
-        }
-
 
 def high_degree_solve(g: WeightedGraph, gamma: float | None = None) -> HighDegreeResult:
     """Contract overlap components, solve the quotient, lift the cut back.

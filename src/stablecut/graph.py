@@ -1,4 +1,4 @@
-"""Immutable weighted-graph model: cuts, degrees, perturbations, contraction.
+"""Immutable weighted-graph model: cuts, degrees, perturbations, file format.
 
 A Max-Cut instance is a symmetric nonnegative weight matrix with zero
 diagonal.  All operations here are pure functions over immutable values, so
@@ -24,7 +24,6 @@ __all__ = [
     "cut_value",
     "weighted_degrees",
     "apply_perturbation",
-    "merge_vertices",
     "load_graph",
     "save_graph",
     "loads_graph",
@@ -132,9 +131,6 @@ class Cut:
     def n(self) -> int:
         return self.signs.shape[0]
 
-    def side(self, sign: int = 1) -> frozenset[int]:
-        return frozenset(int(i) for i in np.nonzero(self.signs == sign)[0])
-
     def as_float(self) -> np.ndarray:
         return self.signs.astype(np.float64)
 
@@ -150,12 +146,6 @@ class Cut:
 
     def __hash__(self) -> int:
         return hash(self.signs.tobytes())
-
-    @classmethod
-    def from_membership(cls, n: int, inside: set[int] | frozenset[int]) -> "Cut":
-        s = np.full(n, -1, dtype=np.int8)
-        s[list(inside)] = 1
-        return cls(s)
 
 
 @dataclass(frozen=True)
@@ -175,10 +165,6 @@ class Perturbation:
             raise ValidationError("factor matrix must be symmetric")
         object.__setattr__(self, "factors", _frozen(f))
 
-    @classmethod
-    def uniform(cls, n: int, factor: float, gamma: float | None = None) -> "Perturbation":
-        return cls(np.full((n, n), factor), gamma if gamma is not None else factor)
-
 
 @dataclass(frozen=True)
 class DegreeStats:
@@ -194,8 +180,20 @@ def cut_value(g: WeightedGraph, c: Cut) -> float:
     """Total weight of edges crossing the cut."""
     if c.n != g.n:
         raise DimensionError(f"cut has {c.n} entries for a {g.n}-vertex graph")
+    return float((g.weights.sum() + _cut_quadratic(g, c)) / 4.0)
+
+
+def _cut_quadratic(g: WeightedGraph, c: Cut) -> float:
+    """-c'Wc, i.e. 2 * (cut weight - uncut weight)."""
     s = c.as_float()
-    return float((g.weights.sum() - s @ g.weights @ s) / 4.0)
+    return float(-(s @ g.weights @ s))
+
+
+def _side_weights(g: WeightedGraph, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's weight to its own side and to the opposite side of the
+    cut given by the +/-1 float vector s."""
+    opposite = (g.weights * (s[:, None] * s[None, :] < 0)).sum(axis=1)
+    return g.weights.sum(axis=1) - opposite, opposite
 
 
 def weighted_degrees(g: WeightedGraph) -> DegreeStats:
@@ -227,30 +225,6 @@ def apply_perturbation(g: WeightedGraph, p: Perturbation) -> WeightedGraph:
     new = g.weights.copy()
     new[on] = new[on] * np.clip(p.factors[on], 1.0, p.gamma)
     return WeightedGraph(new)
-
-
-def merge_vertices(g: WeightedGraph, i: int, j: int) -> tuple[WeightedGraph, np.ndarray]:
-    """Contract j into i, summing parallel edges and dropping the (i, j) edge.
-
-    Returns the (n-1)-vertex graph and the old->new index map.  Any weight
-    between i and j would become a self-loop, which never contributes to a
-    cut, so it is discarded.
-    """
-    n = g.n
-    if i == j:
-        raise ValidationError("cannot merge a vertex with itself")
-    if not (0 <= i < n and 0 <= j < n):
-        raise DimensionError(f"vertex out of range for n={n}")
-    w = g.weights.copy()
-    w[i, :] += w[j, :]
-    w[:, i] += w[:, j]
-    w[i, i] = 0.0
-    keep = np.arange(n) != j
-    w = w[np.ix_(keep, keep)]
-    index_map = np.empty(n, dtype=np.int64)
-    index_map[keep] = np.arange(n - 1)
-    index_map[j] = index_map[i]
-    return WeightedGraph(w), index_map
 
 
 # --- graph file format -------------------------------------------------

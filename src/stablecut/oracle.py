@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SizeLimitError, ValidationError
-from .graph import Cut, Perturbation, WeightedGraph, apply_perturbation
+from .graph import Cut, Perturbation, WeightedGraph, apply_perturbation, _side_weights
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT", "MAX_ENUM_LIMIT", "TIE_REL_TOL", "StabilityReport",
@@ -257,9 +257,7 @@ def local_stability_gamma(g: WeightedGraph, c: Cut) -> float:
     """
     if c.n != g.n:
         raise DimensionError(f"cut has {c.n} entries for a {g.n}-vertex graph")
-    s = c.as_float()
-    opposite = (g.weights * (s[:, None] * s[None, :] < 0)).sum(axis=1)
-    own = g.weights.sum(axis=1) - opposite
+    own, opposite = _side_weights(g, c.as_float())
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(own > 0, opposite / np.where(own > 0, own, 1.0), np.inf)
     return float(ratios.min()) if g.n else math.inf

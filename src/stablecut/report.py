@@ -18,7 +18,7 @@ from . import combinatorial, dualsdp, oracle, spectral
 from .errors import ValidationError
 from .graph import Cut, WeightedGraph, cut_value
 
-SCHEMA_ID = "stablecut-run-report/1"
+SCHEMA_ID = "stablecut-run-report/2"
 
 # Solve/bench attach the exact oracle automatically up to this size.
 AUTO_ORACLE_ATTACH = 16
@@ -86,14 +86,12 @@ def solver_entry_dual(
     g: WeightedGraph,
     tol: float,
     max_iter: int,
-    seed: int,
-    jitter: bool,
     timing: bool,
     on_iteration: Callable[[int, float, float, float], None] | None = None,
 ) -> dict:
     t = _Timer(timing)
     cut, sol, certified = dualsdp.extended_spectral_solve(
-        g, tol=tol, max_iter=max_iter, seed=seed, jitter_retry=jitter, on_iteration=on_iteration
+        g, tol=tol, max_iter=max_iter, on_iteration=on_iteration
     )
     return {
         "cut": cut.signs.tolist(),
@@ -183,7 +181,6 @@ def build_run_report(
     solvers: list[str],
     path: str | None,
     generator_meta: dict | None,
-    seed: int,
     tol: float,
     max_iter: int,
     oracle_limit: int,
@@ -207,7 +204,7 @@ def build_run_report(
         elif name == "spectral":
             entries[name] = solver_entry_spectral(g, timing)
         elif name == "dual":
-            entries[name] = solver_entry_dual(g, tol, max_iter, seed, True, timing, on_iteration)
+            entries[name] = solver_entry_dual(g, tol, max_iter, timing, on_iteration)
         elif name == "oracle":
             entries[name], profile = solver_entry_oracle(g, oracle_limit, timing, attach)
         else:
@@ -237,7 +234,6 @@ def build_run_report(
             "generator": generator_meta,
         },
         "parameters": {
-            "seed": seed,
             "tol": tol,
             "max_iter": max_iter,
             "oracle_limit": oracle_limit,

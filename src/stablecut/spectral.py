@@ -335,16 +335,6 @@ class SpectralCertificate:
     psd: bool
     residual: float
 
-    def to_json(self) -> dict:
-        return {
-            "lambda_n": self.lambda_n,
-            "lambda_n_minus_1": self.lambda_n_minus_1,
-            "eigvec": self.eigvec.tolist(),
-            "diag_shift": self.diag_shift.tolist(),
-            "psd": self.psd,
-            "residual": self.residual,
-        }
-
 
 def build_certificate(g: WeightedGraph, c: Cut) -> SpectralCertificate:
     """Certificate for c: kernel diagonal, bottom spectrum, PSD flag, residual."""

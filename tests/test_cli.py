@@ -270,6 +270,21 @@ def test_iter_log_records_the_reported_dual_run(tmp_path, capsys, monkeypatch):
     assert log.read_text().splitlines() == ["iter,trace,lambda_min,gap"] + rows
 
 
+def test_solve_runs_the_dual_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tie.graph"
+    path.write_text(dumps_graph(WeightedGraph(np.ones((3, 3)) - np.eye(3))))
+    calls = []
+    solve = dualsdp.solve_min_trace
+    monkeypatch.setattr(
+        dualsdp, "solve_min_trace", lambda *a, **k: calls.append(a[0].n) or solve(*a, **k)
+    )
+    assert main(["solve", str(path), "--solver", "dual", "--no-timing"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # the unit triangle's three maximum cuts tie, so no cut is certified
+    assert not doc["solvers"]["dual"]["certified"]
+    assert calls == [3]
+
+
 def _count_eigh(monkeypatch) -> list:
     calls = []
     eigh = np.linalg.eigh

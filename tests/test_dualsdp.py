@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablecut import (
@@ -8,7 +10,7 @@ from stablecut import (
     WeightDistribution,
     WeightedGraph,
     brute_force_max_cut,
-    certify_cut,
+    build_certificate,
     cut_value,
     extended_spectral_solve,
     gen_planted,
@@ -70,12 +72,14 @@ def test_planted_instance_certified_and_exact():
 
 
 def test_certify_cut_examples(k2, c4):
-    cert = certify_cut(c4, Cut(np.array([1, -1, 1, -1])))
-    assert cert.psd and cert.m_check
+    cert = build_certificate(c4, Cut(np.array([1, -1, 1, -1])))
+    assert cert.psd
     assert cert.residual == 0.0
-    cert = certify_cut(c4, Cut(np.array([1, -1, -1, -1])))
+    # trace of the kernel diagonal = -c'Wc = 2 * (cut - uncut) = 8
+    assert cert.diag_shift.sum() == 8.0
+    cert = build_certificate(c4, Cut(np.array([1, -1, -1, -1])))
     assert not cert.psd
-    cert = certify_cut(k2, Cut(np.array([1, -1])))
+    cert = build_certificate(k2, Cut(np.array([1, -1])))
     assert cert.psd
 
 
@@ -101,12 +105,42 @@ def test_determinism(triangle):
     assert np.array_equal(a.d, b.d)
 
 
-def test_polish_reaches_local_optimum(triangle):
-    start = Cut(np.array([1, 1, 1]))
-    polished = polish_cut(triangle, start)
-    base = cut_value(triangle, polished)
-    for v in range(3):
-        assert cut_value(triangle, polished.flipped(v)) <= base + 1e-12
+@st.composite
+def graphs_and_cuts(draw):
+    """Random graphs with uniform, small-integer or constant 0.7 weights, some
+    isolated vertices among them, and a random starting cut."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    weight = draw(
+        st.sampled_from(
+            [
+                st.floats(min_value=0.5, max_value=1.5),
+                st.integers(min_value=1, max_value=5).map(float),
+                st.just(0.7),
+            ]
+        )
+    )
+    density = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    order = draw(st.permutations(range(n + isolated)))
+    w = np.zeros((n + isolated, n + isolated))
+    for a, b in itertools.combinations(order[:n], 2):
+        if draw(st.floats(min_value=0.0, max_value=1.0)) < density:
+            w[a, b] = w[b, a] = draw(weight)
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n + isolated, max_size=n + isolated))
+    return WeightedGraph(w), Cut(np.array(signs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_cuts())
+@example((WeightedGraph.from_edges(3, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 1.0)]), Cut(np.ones(3))))
+@example((WeightedGraph(np.zeros((1, 1))), Cut(np.ones(1))))
+def test_polish_reaches_local_optimum(gc):
+    g, start = gc
+    polished = polish_cut(g, start)
+    base = cut_value(g, polished)
+    assert base >= cut_value(g, start)
+    for v in range(g.n):
+        assert cut_value(g, polished.flipped(v)) <= base + 1e-12 * max(1.0, g.total_weight)
 
 
 @settings(max_examples=15, deadline=None)
@@ -118,8 +152,7 @@ def test_strong_duality_when_certificate_exists(n, seed):
     bf, _, unique = brute_force_max_cut(g)
     if not unique:
         return
-    cert = certify_cut(g, bf)
-    if not cert.psd:
+    if not build_certificate(g, bf).psd:
         return
     cut, sol, certified = extended_spectral_solve(g)
     assert certified
@@ -135,12 +168,3 @@ def test_certified_implies_exact(n, seed):
     if certified:
         _, best_value, _ = brute_force_max_cut(g)
         assert cut_value(g, cut) == pytest.approx(best_value, rel=1e-9)
-
-
-def test_jitter_retry_path(unit_triangle):
-    cut, sol, certified = extended_spectral_solve(
-        unit_triangle, max_iter=150, jitter_retry=True
-    )
-    # ties stay uncertifiable, but the returned cut is still a maximum
-    assert cut_value(unit_triangle, cut) == pytest.approx(2.0)
-    assert not certified

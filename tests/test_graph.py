@@ -17,11 +17,10 @@ from stablecut import (
     cut_value,
     dumps_graph,
     loads_graph,
-    merge_vertices,
     weighted_degrees,
 )
 from stablecut import graph
-from stablecut.graph import MAX_FILE_VERTICES
+from stablecut.graph import MAX_FILE_VERTICES, _side_weights
 
 from conftest import random_weighted
 
@@ -81,9 +80,9 @@ def test_weighted_degrees(k2, triangle, c4):
 
 
 def test_apply_perturbation(k2, triangle):
-    same = apply_perturbation(k2, Perturbation.uniform(2, 1.0))
+    same = apply_perturbation(k2, Perturbation(np.full((2, 2), 1.0), 1.0))
     assert np.array_equal(same.weights, k2.weights)
-    doubled = apply_perturbation(k2, Perturbation.uniform(2, 2.0))
+    doubled = apply_perturbation(k2, Perturbation(np.full((2, 2), 2.0), 2.0))
     assert doubled.weights[0, 1] == 2.0
     f = np.ones((3, 3))
     f[0, 2] = f[2, 0] = 2.0
@@ -99,30 +98,6 @@ def test_perturbation_factor_out_of_range(k2):
         apply_perturbation(k2, Perturbation(np.full((2, 2), 3.0), 2.0))
     with pytest.raises(ValidationError):
         apply_perturbation(k2, Perturbation(np.full((2, 2), 0.5), 2.0))
-
-
-def test_merge_vertices_path_and_cycle(p3, c4):
-    merged, idx = merge_vertices(p3, 0, 2)
-    assert merged.n == 2
-    assert merged.weights[0, 1] == 2.0
-    assert idx.tolist() == [0, 1, 0]
-
-    merged, idx = merge_vertices(c4, 0, 2)
-    assert merged.n == 3
-    assert merged.weights[idx[0], idx[1]] == 2.0
-    assert merged.weights[idx[0], idx[3]] == 2.0
-    assert merged.weights[idx[1], idx[3]] == 0.0
-
-
-def test_merge_same_vertex_fails(c4):
-    with pytest.raises(ValidationError):
-        merge_vertices(c4, 0, 0)
-
-
-def test_merge_drops_merged_edge(k2):
-    merged, idx = merge_vertices(k2, 0, 1)
-    assert merged.n == 1
-    assert merged.weights.sum() == 0.0
 
 
 @st.composite
@@ -142,6 +117,19 @@ def test_cut_negation_symmetry(gc):
 
 
 @settings(max_examples=60, deadline=None)
+@given(graph_and_cut())
+def test_cut_arithmetic_matches_reference(gc):
+    g, c = gc
+    w, s = g.weights, c.as_float()
+    # cut_value reads -s'Ws from _cut_quadratic and must round as s'Ws does
+    assert cut_value(g, c) == float((w.sum() - s @ w @ s) / 4.0)
+    own, opposite = _side_weights(g, s)
+    cross = [sum(w[i, j] for j in range(g.n) if s[i] != s[j]) for i in range(g.n)]
+    assert opposite.tolist() == pytest.approx(cross, rel=1e-12, abs=1e-12)
+    assert (own + opposite).tolist() == pytest.approx(w.sum(axis=1).tolist(), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
 @given(graph_and_cut(), st.integers(min_value=0, max_value=2**31))
 def test_perturbation_monotone(gc, seed):
     g, c = gc
@@ -151,23 +139,6 @@ def test_perturbation_monotone(gc, seed):
     np.fill_diagonal(f, 1.0)
     perturbed = apply_perturbation(g, Perturbation(f, 2.0))
     assert cut_value(perturbed, c) >= cut_value(g, c) - 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(graph_and_cut())
-def test_merge_preserves_cut_values(gc):
-    g, _ = gc
-    merged, idx = merge_vertices(g, 0, g.n - 1)
-    for mask in range(1 << (merged.n - 1)) if merged.n <= 6 else []:
-        signs = np.ones(merged.n, dtype=np.int8)
-        for v in range(1, merged.n):
-            if (mask >> (v - 1)) & 1:
-                signs[v] = -1
-        small = Cut(signs)
-        lifted = Cut(signs[idx])
-        merged_value = cut_value(merged, small)
-        lifted_value = cut_value(g, lifted)
-        assert merged_value == pytest.approx(lifted_value, rel=1e-12, abs=1e-12)
 
 
 def test_file_roundtrip_is_byte_exact(triangle):
