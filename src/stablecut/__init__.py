@@ -5,7 +5,6 @@ from .combinatorial import (
     MergeStep,
     build_conflict_graph,
     find_max_cut_greedy,
-    greedy_applicability,
     high_degree_solve,
 )
 from .dualsdp import (
@@ -46,7 +45,6 @@ from .oracle import (
     DEFAULT_ENUM_LIMIT,
     StabilityReport,
     brute_force_max_cut,
-    cheeger_constant,
     local_stability_gamma,
     sample_perturbation_attack,
     stability_report,
@@ -60,7 +58,6 @@ from .spectral import (
     eigen_smallest_two,
     family_condition_checks,
     gw_bound,
-    is_psd,
     psd_sufficient_margin,
     spectral_gamma_requirement,
     spectral_partition,

@@ -9,14 +9,16 @@ Pass --no-timing to zero wall-clock fields so reruns are byte-identical.
 The env var STABLECUT_ORACLE_LIMIT overrides the exhaustive-enumeration cap
 (an integer in 1..32, default 22); any other value exits 2.  A graph file
 may declare at most 4096 vertices (graph.MAX_FILE_VERTICES); a larger
-header exits 4 before anything is allocated.
+header exits 4 before anything is allocated.  Exit 2 also covers a graph
+file that cannot be read or is not ASCII, weights summing above
+graph.MAX_WEIGHT_SUM, --max-iter below 1 where the dual runs, and bench
+--trials below 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -48,8 +50,7 @@ def _oracle_limit() -> int:
     return limit
 
 
-def _dump_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -57,31 +58,38 @@ def _dump_json(obj: dict, out: str | None) -> None:
             fh.write(text)
 
 
+def _dump_json(obj: dict, out: str | None) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+
+
 def _load(path: str) -> WeightedGraph:
     try:
         return load_graph(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read graph file {path}: {exc}") from exc
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _sidecar_for(path: str) -> dict | None:
-    stem, _ = os.path.splitext(path)
-    candidate = stem + ".json"
-    if os.path.exists(candidate):
-        try:
-            with open(candidate, "r", encoding="ascii") as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-    return None
+    """The generator metadata beside `path`: its .json sidecar if that is an
+    ASCII file holding a JSON object (NaN and Infinity are not JSON), else
+    None."""
+    try:
+        with open(os.path.splitext(path)[0] + ".json", "r", encoding="ascii") as fh:
+            meta = json.load(fh, parse_constant=_not_json)
+    except (OSError, ValueError):  # missing, unreadable, not ASCII or not JSON
+        return None
+    return meta if isinstance(meta, dict) else None
 
 
 def _write_instance(outdir: str, stem: str, g: WeightedGraph, sidecar: dict) -> str:
     os.makedirs(outdir, exist_ok=True)
     gpath = os.path.join(outdir, stem + ".graph")
     save_graph(g, gpath)
-    with open(os.path.join(outdir, stem + ".json"), "w", encoding="ascii") as fh:
-        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _dump_json(sidecar, os.path.join(outdir, stem + ".json"))
     return gpath
 
 
@@ -110,7 +118,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             "model": "scale",
             "seed": args.seed,
             "params": {"input": os.path.basename(args.input), "gamma_target": args.gamma},
-            "verified_gamma_star": "inf" if math.isinf(verified.gamma_star) else verified.gamma_star,
+            "verified_gamma_star": report._num(verified.gamma_star),
         }
         path = _write_instance(args.out, stem, scaled, sidecar)
     elif args.model == "amplify":
@@ -131,13 +139,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 # --- solve ---------------------------------------------------------------
 
-_SOLVERS = ("greedy", "contract", "spectral", "dual", "oracle")
-
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     limit = _oracle_limit()
-    solvers = list(_SOLVERS) if args.solver == "all" else [args.solver]
+    solvers = list(report.SOLVERS) if args.solver == "all" else [args.solver]
     if "oracle" in solvers and args.solver == "all" and g.n > limit:
         solvers.remove("oracle")
 
@@ -180,19 +186,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    limit = _oracle_limit()
-    out = {
-        "schema": "stablecut-verify-report/1",
-        "instance": {
-            "path": args.graph,
-            "n": g.n,
-            "m": g.edge_count,
-            "total_weight": g.total_weight,
-        },
-        "tolerances": {"tie_rel_tol": oracle.TIE_REL_TOL},
-        "oracle": report.oracle_section(g, limit),
-    }
-    _dump_json(out, args.output)
+    _dump_json(report.verify_report(g, args.graph, _oracle_limit()), args.output)
     return EXIT_OK
 
 
@@ -201,30 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    limit = _oracle_limit()
-    vals = np.linalg.eigvalsh(g.weights)
-    if g.n <= min(report.AUTO_ORACLE_ATTACH, limit):
-        candidate = oracle.brute_force_max_cut(g, limit)[0]
-    else:
-        candidate = spectral.spectral_partition(g)
-    out = {
-        "schema": "stablecut-spectrum-report/1",
-        "instance": {
-            "path": args.graph,
-            "n": g.n,
-            "m": g.edge_count,
-            "total_weight": g.total_weight,
-        },
-        "eigenvalues": vals[::-1].tolist(),
-        "tolerances": {
-            "psd_rel_tol": spectral.PSD_REL_TOL,
-            "tie_rel_tol": oracle.TIE_REL_TOL,
-        },
-        "conditions": report.conditions_section(
-            g, candidate, min(report.AUTO_ORACLE_ATTACH, limit)
-        ),
-    }
-    _dump_json(out, args.output)
+    _dump_json(report.spectrum_report(g, args.graph, _oracle_limit()), args.output)
     return EXIT_OK
 
 
@@ -277,6 +248,8 @@ def _bench_cell(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     dist = generators.WeightDistribution.parse(args.dist)
     limit = _oracle_limit()
     ns = sorted({int(x) for x in args.n.split(",")})
@@ -310,12 +283,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         lines.append(
             f"{n},{gamma!r},{dspec},{trials},{solver},{rec:.6f},{cert:.6f},{ms:.3f}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -365,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("solve", help="run solvers and emit a JSON run report")
     sv.add_argument("graph")
-    sv.add_argument("--solver", default="all", choices=list(_SOLVERS) + ["all"])
+    sv.add_argument("--solver", default="all", choices=list(report.SOLVERS) + ["all"])
     sv.add_argument("--tol", type=float, default=dualsdp.DEFAULT_TOL)
     sv.add_argument("--max-iter", type=int, default=dualsdp.DEFAULT_MAX_ITER)
     sv.add_argument("--gamma", type=float, default=None, help="stability hint for greedy applicability")

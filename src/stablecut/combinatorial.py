@@ -37,7 +37,6 @@ __all__ = [
     "MergeStep",
     "HighDegreeResult",
     "find_max_cut_greedy",
-    "greedy_applicability",
     "build_conflict_graph",
     "high_degree_solve",
 ]
@@ -52,8 +51,8 @@ class MergeStep:
 
     ``bundles`` is the larger of the chosen component's nonempty parallel and
     crossing bundle counts; the refined greedy condition at gamma holds for
-    the iteration exactly when it is below gamma.  It is not part of the
-    JSON form.
+    the iteration exactly when it is below gamma.  The run report does not
+    write it.
     """
 
     iteration: int
@@ -63,16 +62,6 @@ class MergeStep:
     chosen_c: int
     edge_weight_added: float
     bundles: int
-
-    def to_json(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "component_sizes": list(self.component_sizes),
-            "chosen_i": self.chosen_i,
-            "chosen_j": self.chosen_j,
-            "chosen_c": self.chosen_c,
-            "edge_weight_added": self.edge_weight_added,
-        }
 
 
 def _support_components(g: WeightedGraph) -> list[list[int]]:
@@ -196,19 +185,6 @@ def find_max_cut_greedy(g: WeightedGraph) -> tuple[Cut, list[MergeStep]]:
         signs[comp] = s
         steps.extend(st)
     return Cut(signs), steps
-
-
-def greedy_applicability(g: WeightedGraph, gamma: float) -> tuple[list[bool], bool]:
-    """Per-iteration flags for the refined greedy condition, plus their conjunction.
-
-    An iteration qualifies when the chosen component sees fewer than gamma
-    other components through nonempty bundles, separately for the parallel
-    and crossing orientations.  The flags are read off the steps of one
-    `find_max_cut_greedy` run (`MergeStep.bundles < gamma`), so a caller
-    that already has the steps derives them without running greedy again.
-    """
-    flags = [s.bundles < gamma for s in find_max_cut_greedy(g)[1]]
-    return flags, all(flags)
 
 
 def build_conflict_graph(g: WeightedGraph, gamma: float) -> WeightedGraph:

@@ -85,6 +85,8 @@ def solve_min_trace(
     """
     if g.n < 1:
         raise ValidationError("graph must be nonempty")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     n, w = g.n, g.weights
     rho = 2.0 * n
     degrees = w.sum(axis=1)

@@ -79,24 +79,6 @@ class WeightDistribution:
     def spec(self) -> str:
         return ":".join([self.kind] + [repr(x) for x in self.params])
 
-    @property
-    def mean(self) -> float:
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "uniform":
-            return (self.params[0] + self.params[1]) / 2.0
-        p, lo, hi = self.params
-        return (1 - p) * lo + p * hi
-
-    @property
-    def variance(self) -> float:
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "uniform":
-            return (self.params[1] - self.params[0]) ** 2 / 12.0
-        p, lo, hi = self.params
-        return p * (1 - p) * (hi - lo) ** 2
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "constant":
             return np.full(size, self.params[0])

@@ -17,6 +17,7 @@ from .errors import DimensionError, SizeLimitError, ValidationError
 
 __all__ = [
     "MAX_FILE_VERTICES",
+    "MAX_WEIGHT_SUM",
     "WeightedGraph",
     "Cut",
     "Perturbation",
@@ -60,6 +61,10 @@ class WeightedGraph:
             raise ValidationError(f"weight matrix must be square, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValidationError("weights must be finite")
+        with np.errstate(over="ignore"):  # a sum that overflows is inf
+            total = w.sum()
+        if not total <= MAX_WEIGHT_SUM:
+            raise ValidationError(f"weights must sum to at most {MAX_WEIGHT_SUM!r} (2^900)")
         if not np.array_equal(w, w.T):
             raise ValidationError("weight matrix must be symmetric")
         if np.any(w < 0):
@@ -229,13 +234,15 @@ def apply_perturbation(g: WeightedGraph, p: Perturbation) -> WeightedGraph:
 
 # --- graph file format -------------------------------------------------
 #
-# Text format, bit-exact under load/save round trips:
+# ASCII text, bit-exact under load/save round trips (a file that is not
+# ASCII is rejected like an unreadable one, exit 2):
 #   lines that are blank or whose first non-blank character is '#' are
 #   skipped (line breaks as str.splitlines); the first other line is the
 #   header "n m"; every later line is an edge "u v w" of three whitespace-
 #   separated tokens, u and v parsed by int() and w by float(), with
 #   0 <= u < v < n, w positive and finite (1e400 is read as inf and
-#   rejected), and no (u, v) pair twice.
+#   rejected), and no (u, v) pair twice.  The weights must sum to at most
+#   MAX_WEIGHT_SUM / 2 (each edge counts twice in W.sum()).
 #
 # Errors (ValidationError, exit 2; SizeLimitError, exit 4) are raised in
 # this order: empty file; bad header; negative counts; n > MAX_FILE_VERTICES
@@ -257,6 +264,20 @@ def apply_perturbation(g: WeightedGraph, p: Perturbation) -> WeightedGraph:
 # first line they reject.  The checks then run as masks over the columns.
 
 MAX_FILE_VERTICES = 4096
+
+MAX_WEIGHT_SUM = 2.0**900
+"""Cap on W.sum() (twice the total weight), checked by WeightedGraph.
+
+With S = W.sum() <= 2^900 and n <= MAX_FILE_VERTICES = 2^12, every sum,
+diagonal, eigenvalue and trace `solve` computes is below 2^1024.  Sums of
+weights (degrees, cut and side weights, the oracle's forms, kernel
+diagonals) are at most 2S.  The dual starts at d = degrees and moves d_i by
+under 2n step0 / sqrt(t) at iteration t, step0 = max(1, S/n) / sqrt(n), so
+after T < 2^64 iterations |d_i| < S + 4 sqrt(nT) max(1, S/n) <= 2^41 max(1, S).
+Then |lambda| of W + diag(d) and the shift -lambda_min are below
+2^42 max(1, S), n * shift is below 2^54 max(1, S), and the dual's trace and
+gap are below 2^56 max(1, S) <= 2^956.
+"""
 
 _EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 _PLAIN_EDGE_LINES = re.compile(r"(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]+[0-9.eE+-]+\n)*")

@@ -31,7 +31,7 @@ from .graph import Cut, Perturbation, WeightedGraph, apply_perturbation, _side_w
 __all__ = [
     "DEFAULT_ENUM_LIMIT", "MAX_ENUM_LIMIT", "TIE_REL_TOL", "StabilityReport",
     "brute_force_max_cut", "stability_report", "local_stability_gamma",
-    "cheeger_constant", "sample_perturbation_attack",
+    "sample_perturbation_attack",
 ]
 
 DEFAULT_ENUM_LIMIT = 22
@@ -51,7 +51,8 @@ class StabilityReport:
     minimizing T (None when gamma_star is infinite).  A non-unique maximum
     reports gamma_star = 1 and alpha_star = k_star = 0, with the tying
     partition as witness.  ``ties`` counts the partitions tying at the
-    maximum; ``cheeger`` is the Cheeger constant (None below two vertices).
+    maximum; ``cheeger`` is the Cheeger constant, min over nonempty U with
+    |U| <= n/2 of |support edges leaving U| / |U| (None below two vertices).
     """
 
     max_cut: Cut
@@ -64,22 +65,6 @@ class StabilityReport:
     worst_cut: Cut | None
     ties: int
     cheeger: float | None
-
-    def to_json(self) -> dict:
-        def num(x: float):
-            return "inf" if math.isinf(x) else x
-
-        return {
-            "max_cut": self.max_cut.signs.tolist(),
-            "max_value": self.max_value,
-            "unique": self.unique,
-            "gamma_star": num(self.gamma_star),
-            "gamma_local": num(self.gamma_local),
-            "alpha_star": self.alpha_star,
-            "k_star": num(self.k_star),
-            "worst_cut": None if self.worst_cut is None else self.worst_cut.signs.tolist(),
-            "cheeger": self.cheeger,
-        }
 
 
 def _check_size(g: WeightedGraph, limit: int) -> None:
@@ -287,14 +272,6 @@ def stability_report(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> Stabi
         alpha_star=alpha_star, k_star=k_star, ties=ties, cheeger=cheeger,
         worst_cut=None if worst is None else _cut_for_mask(n, worst),
     )
-
-
-def cheeger_constant(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> float:
-    """Exact min over nonempty U with |U| <= n/2 of |support edges leaving U| / |U|."""
-    _check_size(g, limit)
-    if g.n < 2:
-        raise ValidationError("Cheeger constant needs at least two vertices")
-    return _scan_max(g, cheeger=True)[3]
 
 
 def sample_perturbation_attack(

@@ -1,9 +1,12 @@
-"""Assembly of machine-readable run reports.
+"""Every machine-readable report: the run report of `solve`, and the
+`verify` and `spectrum` reports.
 
-A run report records the instance, per-solver outcomes, the exact oracle
-section when the instance is small enough, and the sufficient-condition
-verdicts.  All numeric fields carry their tolerance context in the
-`tolerances` block; a skipped oracle section is explicit.
+This is the one module that turns results into report JSON.  The three
+reports share one instance block, and `_num` is the only place where an
+infinity is encoded, as "inf" or "-inf".  `solve` and `spectrum` attach the
+exact stability profile by one rule, n <= min(AUTO_ORACLE_ATTACH, limit).
+Numeric fields carry their tolerance context in the `tolerances` block; a
+skipped oracle section is explicit.
 """
 
 from __future__ import annotations
@@ -19,17 +22,63 @@ from .errors import ValidationError
 from .graph import Cut, WeightedGraph, cut_value
 
 SCHEMA_ID = "stablecut-run-report/2"
+SOLVERS = ("greedy", "contract", "spectral", "dual", "oracle")
 
-# Solve/bench attach the exact oracle automatically up to this size.
+# Solve and spectrum attach the exact oracle automatically up to this size.
 AUTO_ORACLE_ATTACH = 16
 
 
 def _num(x):
-    if x is None:
-        return None
     if isinstance(x, float) and math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x
+
+
+def _attached_profile(g: WeightedGraph, limit: int) -> oracle.StabilityReport | None:
+    """The exact stability profile when the oracle attaches automatically."""
+    if g.n <= min(AUTO_ORACLE_ATTACH, limit):
+        return oracle.stability_report(g, limit)
+    return None
+
+
+def _instance(g: WeightedGraph, path: str | None) -> dict:
+    return {"path": path, "n": g.n, "m": g.edge_count, "total_weight": g.total_weight}
+
+
+def _profile_json(p: oracle.StabilityReport) -> dict:
+    return {
+        "max_cut": p.max_cut.signs.tolist(),
+        "max_value": p.max_value,
+        "unique": p.unique,
+        "gamma_star": _num(p.gamma_star),
+        "gamma_local": _num(p.gamma_local),
+        "alpha_star": p.alpha_star,
+        "k_star": _num(p.k_star),
+        "worst_cut": None if p.worst_cut is None else p.worst_cut.signs.tolist(),
+        "cheeger": p.cheeger,
+    }
+
+
+def _verdict_json(v: spectral.ConditionVerdict) -> dict:
+    return {
+        "name": v.name,
+        "applicable": v.applicable,
+        "holds": v.holds,
+        "lhs": _num(v.lhs),
+        "rhs": _num(v.rhs),
+        "detail": {k: _num(x) for k, x in v.detail.items()},
+    }
+
+
+def _merge_step_json(s: combinatorial.MergeStep) -> dict:
+    return {
+        "iteration": s.iteration,
+        "component_sizes": list(s.component_sizes),
+        "chosen_i": s.chosen_i,
+        "chosen_j": s.chosen_j,
+        "chosen_c": s.chosen_c,
+        "edge_weight_added": s.edge_weight_added,
+    }
 
 
 class _Timer:
@@ -43,15 +92,15 @@ class _Timer:
         return (time.perf_counter() - self._t0) * 1000.0
 
 
+def _entry(g: WeightedGraph, cut: Cut, t: _Timer, **fields) -> dict:
+    """A solver entry: the cut, its value, the time since t started, and `fields`."""
+    return {"cut": cut.signs.tolist(), "value": cut_value(g, cut), "wall_ms": t.ms(), **fields}
+
+
 def solver_entry_greedy(g: WeightedGraph, gamma_hint: float | None, timing: bool) -> dict:
     t = _Timer(timing)
     cut, trace = combinatorial.find_max_cut_greedy(g)
-    entry = {
-        "cut": cut.signs.tolist(),
-        "value": cut_value(g, cut),
-        "wall_ms": t.ms(),
-        "trace": [s.to_json() for s in trace],
-    }
+    entry = _entry(g, cut, t, trace=[_merge_step_json(s) for s in trace])
     if gamma_hint is not None:
         flags = [s.bundles < gamma_hint for s in trace]
         entry["applicability"] = {"gamma": gamma_hint, "per_iteration": flags, "overall": all(flags)}
@@ -61,25 +110,18 @@ def solver_entry_greedy(g: WeightedGraph, gamma_hint: float | None, timing: bool
 def solver_entry_contract(g: WeightedGraph, timing: bool) -> dict:
     t = _Timer(timing)
     result = combinatorial.high_degree_solve(g)
-    return {
-        "cut": result.cut.signs.tolist(),
-        "value": cut_value(g, result.cut),
-        "wall_ms": t.ms(),
-        "gamma": result.gamma,
-        "component_count": result.component_count,
-        "used_exhaustive": result.used_exhaustive,
-        "heuristic": result.heuristic,
-    }
+    return _entry(
+        g, result.cut, t,
+        gamma=result.gamma,
+        component_count=result.component_count,
+        used_exhaustive=result.used_exhaustive,
+        heuristic=result.heuristic,
+    )
 
 
 def solver_entry_spectral(g: WeightedGraph, timing: bool) -> dict:
     t = _Timer(timing)
-    cut = spectral.spectral_partition(g)
-    return {
-        "cut": cut.signs.tolist(),
-        "value": cut_value(g, cut),
-        "wall_ms": t.ms(),
-    }
+    return _entry(g, spectral.spectral_partition(g), t)
 
 
 def solver_entry_dual(
@@ -93,30 +135,28 @@ def solver_entry_dual(
     cut, sol, certified = dualsdp.extended_spectral_solve(
         g, tol=tol, max_iter=max_iter, on_iteration=on_iteration
     )
-    return {
-        "cut": cut.signs.tolist(),
-        "value": cut_value(g, cut),
-        "wall_ms": t.ms(),
-        "certified": certified,
-        "trace": sol.trace,
-        "lower_bound": sol.lower_bound,
-        "gap": sol.gap,
-        "lambda_min": sol.lambda_min,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-    }
+    return _entry(
+        g, cut, t,
+        certified=certified,
+        trace=sol.trace,
+        lower_bound=sol.lower_bound,
+        gap=sol.gap,
+        lambda_min=sol.lambda_min,
+        iterations=sol.iterations,
+        converged=sol.converged,
+    )
 
 
 def solver_entry_oracle(
-    g: WeightedGraph, limit: int, timing: bool, attach: bool = False
+    g: WeightedGraph, limit: int, timing: bool
 ) -> tuple[dict, oracle.StabilityReport | None]:
-    """The exact maximum cut, plus the stability profile when `attach` is set.
+    """The exact maximum cut, plus the attached stability profile if any.
 
-    With `attach` the entry is read off the profile's first sweep and
-    `wall_ms` times the whole profile; otherwise it is one max-cut sweep.
+    With a profile the entry is read off its first sweep and `wall_ms`
+    times the whole profile; otherwise it is one max-cut sweep.
     """
     t = _Timer(timing)
-    profile = oracle.stability_report(g, limit) if attach else None
+    profile = _attached_profile(g, limit)
     if profile is None:
         cut, value, unique = oracle.brute_force_max_cut(g, limit)
     else:
@@ -130,20 +170,15 @@ def solver_entry_oracle(
     return entry, profile
 
 
-def oracle_section(g: WeightedGraph, limit: int) -> dict:
-    return oracle.stability_report(g, limit).to_json()
-
-
 def conditions_section(
     g: WeightedGraph,
     candidate: Cut,
-    oracle_limit: int,
     profile: oracle.StabilityReport | None = None,
 ) -> dict:
     cert = spectral.build_certificate(g, candidate)
     basic, refined = spectral.spectral_gamma_requirement(g, cert.eigvec)
     holds, margin = spectral.psd_sufficient_margin(g, candidate)
-    verdicts = spectral.family_condition_checks(g, candidate, oracle_limit, profile)
+    verdicts = spectral.family_condition_checks(g, candidate, profile)
     gamma_local = oracle.local_stability_gamma(g, candidate)
     capped = min(gamma_local, spectral.LOCAL_GAMMA_CAP)
     stable_bound = spectral.stable_gw_bound(max(1.0, capped))
@@ -171,7 +206,7 @@ def conditions_section(
         },
         "spectral_ratio": {"basic": _num(basic), "refined": _num(refined)},
         "psd_margin": {"holds": holds, "margin": margin},
-        "families": [v.to_json() for v in verdicts],
+        "families": [_verdict_json(v) for v in verdicts],
         "gw": gw,
     }
 
@@ -190,7 +225,6 @@ def build_run_report(
 ) -> dict:
     """The run report; `on_iteration` receives the dual solver's iterations
     (see dualsdp.solve_min_trace) as they happen."""
-    attach = g.n <= min(AUTO_ORACLE_ATTACH, oracle_limit)
     profile = None
     entries: dict[str, dict] = {}
     for name in solvers:
@@ -206,14 +240,14 @@ def build_run_report(
         elif name == "dual":
             entries[name] = solver_entry_dual(g, tol, max_iter, timing, on_iteration)
         elif name == "oracle":
-            entries[name], profile = solver_entry_oracle(g, oracle_limit, timing, attach)
+            entries[name], profile = solver_entry_oracle(g, oracle_limit, timing)
         else:
             raise ValidationError(f"unknown solver {name!r}")
 
-    if attach:
-        if profile is None:
-            profile = oracle.stability_report(g, oracle_limit)
-        osec = profile.to_json()
+    if profile is None:
+        profile = _attached_profile(g, oracle_limit)
+    if profile is not None:
+        osec = _profile_json(profile)
         candidate = profile.max_cut
     else:
         osec = {"skipped": f"n > limit ({g.n} > {min(AUTO_ORACLE_ATTACH, oracle_limit)})"}
@@ -226,13 +260,7 @@ def build_run_report(
 
     report = {
         "schema": SCHEMA_ID,
-        "instance": {
-            "path": path,
-            "n": g.n,
-            "m": g.edge_count,
-            "total_weight": g.total_weight,
-            "generator": generator_meta,
-        },
+        "instance": {**_instance(g, path), "generator": generator_meta},
         "parameters": {
             "tol": tol,
             "max_iter": max_iter,
@@ -250,7 +278,32 @@ def build_run_report(
         "oracle": osec,
     }
     if candidate is not None:
-        report["conditions"] = conditions_section(
-            g, candidate, min(AUTO_ORACLE_ATTACH, oracle_limit), profile
-        )
+        report["conditions"] = conditions_section(g, candidate, profile)
     return report
+
+
+def verify_report(g: WeightedGraph, path: str, limit: int) -> dict:
+    """The exact stability profile of g, from at most two sweeps."""
+    return {
+        "schema": "stablecut-verify-report/1",
+        "instance": _instance(g, path),
+        "tolerances": {"tie_rel_tol": oracle.TIE_REL_TOL},
+        "oracle": _profile_json(oracle.stability_report(g, limit)),
+    }
+
+
+def spectrum_report(g: WeightedGraph, path: str, limit: int) -> dict:
+    """The eigenvalues of W, largest first, and the conditions block for
+    the attached profile's maximum cut, or for the spectral cut without one."""
+    profile = _attached_profile(g, limit)
+    candidate = spectral.spectral_partition(g) if profile is None else profile.max_cut
+    return {
+        "schema": "stablecut-spectrum-report/1",
+        "instance": _instance(g, path),
+        "eigenvalues": np.linalg.eigvalsh(g.weights)[::-1].tolist(),
+        "tolerances": {
+            "psd_rel_tol": spectral.PSD_REL_TOL,
+            "tie_rel_tol": oracle.TIE_REL_TOL,
+        },
+        "conditions": conditions_section(g, candidate, profile),
+    }

@@ -26,7 +26,6 @@ __all__ = [
     "bottom_spectrum",
     "spectral_partition",
     "build_diagonal_from_cut",
-    "is_psd",
     "spectral_gamma_requirement",
     "psd_sufficient_margin",
     "family_condition_checks",
@@ -136,20 +135,6 @@ def build_diagonal_from_cut(g: WeightedGraph, c: Cut) -> np.ndarray:
     return -s * (g.weights @ s)
 
 
-def _psd_at(lam: float, m: np.ndarray, tol: float = PSD_REL_TOL) -> bool:
-    """is_psd's test for a matrix m whose smallest eigenvalue is lam."""
-    return lam >= -tol * max(1.0, float(np.linalg.norm(m, np.inf)))
-
-
-def is_psd(m: np.ndarray, tol: float = PSD_REL_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol * |m|_inf."""
-    m = _as_sym(m)
-    if m.shape[0] == 0:
-        return True
-    lam, _, _ = eigen_smallest_two(m)
-    return _psd_at(lam, m, tol)
-
-
 def spectral_gamma_requirement(
     g: WeightedGraph, u: np.ndarray
 ) -> tuple[float, float]:
@@ -211,28 +196,10 @@ class ConditionVerdict:
     rhs: float | None = None
     detail: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        def num(x):
-            if x is None:
-                return None
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return x
-
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "lhs": num(self.lhs),
-            "rhs": num(self.rhs),
-            "detail": {k: num(v) if isinstance(v, float) else v for k, v in self.detail.items()},
-        }
-
 
 def family_condition_checks(
     g: WeightedGraph,
     c: Cut,
-    oracle_limit: int = 16,
     profile: oracle.StabilityReport | None = None,
 ) -> list[ConditionVerdict]:
     """Evaluate the graph-family conditions under which the shifted spectral
@@ -241,9 +208,8 @@ def family_condition_checks(
 
     gamma is the local stability of c (capped when infinite); structural
     preconditions that fail mark the check not-applicable rather than false.
-    Checks needing exhaustive quantities (Cheeger constant, distinctness)
-    are skipped above `oracle_limit` vertices; they read both off one exact
-    stability profile, `profile` when the caller already has it.
+    The Cheeger and distinctness checks read the Cheeger constant and k* off
+    the exact stability `profile`; without one they are not applicable.
     """
     verdicts: list[ConditionVerdict] = []
     gamma = _capped(oracle.local_stability_gamma(g, c))
@@ -266,7 +232,6 @@ def family_condition_checks(
 
     regular = g.is_simple() and equal_w and g.n > 1
     d = float(wdeg[0]) if regular else 0.0
-    lam2 = None
     if regular:
         vals = np.linalg.eigvalsh(g.weights)
         lam2 = float(vals[-2])
@@ -295,9 +260,7 @@ def family_condition_checks(
             return math.inf
         return (5.0 + s) / (1.0 - s)
 
-    rep = None
-    if regular and g.n <= oracle_limit:
-        rep = profile if profile is not None else oracle.stability_report(g, limit=oracle_limit)
+    rep = profile if regular else None
     h = None if rep is None else rep.cheeger
     if h is not None and math.isfinite(h) and h > 0:
         rhs = threshold_from(h)
@@ -326,7 +289,8 @@ def family_condition_checks(
 
 @dataclass(frozen=True)
 class SpectralCertificate:
-    """Spectral snapshot of W + diag(d) for a candidate cut."""
+    """Spectral snapshot of W + diag(d) for a candidate cut; ``psd`` means
+    lambda_n >= -PSD_REL_TOL * max(1, |W + diag(d)|_inf)."""
 
     lambda_n: float
     lambda_n_minus_1: float
@@ -347,7 +311,7 @@ def build_certificate(g: WeightedGraph, c: Cut) -> SpectralCertificate:
         lambda_n_minus_1=lam_n1,
         eigvec=u,
         diag_shift=d,
-        psd=_psd_at(lam_n, m),
+        psd=lam_n >= -PSD_REL_TOL * max(1.0, float(np.linalg.norm(m, np.inf))),
         residual=residual,
     )
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 
 import jsonschema
@@ -6,8 +8,8 @@ import numpy as np
 import pytest
 
 from stablecut import (
-    WeightedGraph, combinatorial, dualsdp, dumps_graph, graph, load_graph, oracle,
-    stability_report,
+    WeightDistribution, WeightedGraph, combinatorial, dualsdp, dumps_graph, gen_planted, graph,
+    load_graph, oracle, stability_report,
 )
 from stablecut.cli import main
 
@@ -149,6 +151,101 @@ def test_solve_unreadable_file_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command", ["verify", "solve", "spectrum", "gen scale --gamma 2 --input", "gen amplify --input"]
+)
+def test_non_ascii_graph_file_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cafe.graph"
+    path.write_bytes("# caf\u00e9\n2 1\n0 1 1.0\n".encode("utf-8"))
+    assert main(command.split() + [str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sidecar", ['{"model": "caf\u00e9"}'.encode("utf-8"), b"[1]", b'{"model": NaN}']
+)
+def test_solve_ignores_sidecar_unless_ascii_object(tmp_path, capsys, sidecar):
+    tri = _write_triangle(tmp_path)
+    (tmp_path / "tri.json").write_bytes(sidecar)
+    assert main(["solve", "--solver", "spectral", "--no-timing", tri]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    _validate(doc)
+    assert doc["instance"]["generator"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--max-iter", "0"],
+        ["bench", "--n", "4", "--gamma", "2", "--trials", "0"],
+        ["bench", "--n", "4", "--gamma", "2", "--trials", "1", "--max-iter", "0"],
+    ],
+)
+def test_degenerate_options_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "solve":
+        argv = argv + [_write_triangle(tmp_path)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "at least 1" in out.err
+
+
+_OVERFLOWING = {
+    "triangle_1e308": "3 3\n0 1 1e308\n0 2 1e308\n1 2 1e308\n",
+    "k4_1.4e307": "4 6\n"
+    + "".join(f"{u} {v} 1.4e307\n" for u, v in itertools.combinations(range(4), 2)),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "spectrum"])
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+def test_weight_sum_above_cap_exits_2(tmp_path, capsys, command, name):
+    path = tmp_path / f"{name}.graph"
+    path.write_text(_OVERFLOWING[name])
+    assert main([command, str(path)]) == 2
+    assert "sum to at most" in capsys.readouterr().err
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json_input(tmp_path, capsys, case: str) -> str:
+    """Graph file for `case`; planted cases go through `gen planted`."""
+    if case.startswith("planted_"):
+        n, gamma = case.split("_")[1:]
+        gen = ["gen", "planted", "--n", n, "--gamma", gamma, "--seed", "2", "-o", str(tmp_path)]
+        assert main(gen) == 0
+        return capsys.readouterr().out.strip()
+    if case == "unit_triangle":
+        g = WeightedGraph(np.ones((3, 3)) - np.eye(3))
+    elif case == "k44":
+        g = complete_bipartite(4)
+    elif case == "cap_k44":  # W.sum() is exactly the cap
+        g = WeightedGraph(complete_bipartite(4).weights * (graph.MAX_WEIGHT_SUM / 32))
+    else:  # a weighted instance within a factor 2 of the cap
+        w = gen_planted(14, WeightDistribution.uniform(0.5, 1.5), 4.0, seed=2).graph.weights
+        g = WeightedGraph(w * 2.0 ** math.floor(math.log2(graph.MAX_WEIGHT_SUM / w.sum())))
+    path = tmp_path / f"{case}.graph"
+    path.write_text(dumps_graph(g))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case", ["unit_triangle", "k44", "planted_14_1.0", "planted_40_4", "cap_k44", "cap_planted_14"]
+)
+def test_reports_are_strict_json(tmp_path, capsys, case):
+    path = _strict_json_input(tmp_path, capsys, case)
+    for command in (["solve", "--solver", "all", "--no-timing"], ["verify"], ["spectrum"]):
+        rc = main(command + [path])
+        out = capsys.readouterr().out
+        if command == ["verify"] and load_graph(path).n > oracle.DEFAULT_ENUM_LIMIT:
+            assert rc == 4 and out == ""
+            continue
+        assert rc == 0
+        _validate(json.loads(out, parse_constant=_reject_constant))
+
+
 def test_oracle_limit_env_override(tmp_path, capsys, monkeypatch):
     rc = main(["gen", "gnp", "--n", "18", "--p", "0.4", "--seed", "1", "-o", str(tmp_path)])
     printed = capsys.readouterr().out.strip()
@@ -195,6 +292,30 @@ def test_solve_profiles_regular_graph_once(tmp_path, capsys, monkeypatch):
     # contract's quotient takes one sweep; the oracle solver entry, the oracle
     # section and the family checks share one two-sweep profile
     assert sweeps == [2, 8, 8]
+
+
+def test_spectrum_profiles_regular_graph_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k44.graph"
+    path.write_text(dumps_graph(complete_bipartite(4)))
+    sweeps = _count_sweeps(monkeypatch)
+    assert main(["spectrum", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["conditions"]["families"][2]["detail"]["cheeger"] == 2.0
+    # the candidate cut and the family checks share one two-sweep profile
+    assert sweeps == [8, 8]
+
+
+def test_profile_attaches_up_to_16_vertices(tmp_path, capsys, monkeypatch):
+    sweeps = _count_sweeps(monkeypatch)
+    for n in (16, 18):
+        assert main(["gen", "planted", "--n", str(n), "--gamma", "4", "-o", str(tmp_path)]) == 0
+        path = capsys.readouterr().out.strip()
+        assert main(["solve", "--solver", "greedy", "--no-timing", path]) == 0
+        assert ("skipped" in json.loads(capsys.readouterr().out)["oracle"]) == (n > 16)
+        assert main(["spectrum", path]) == 0
+        capsys.readouterr()
+    # solve and spectrum share one rule: a two-sweep profile for n <= 16 only
+    assert sweeps == [16, 16, 16, 16]
 
 
 def test_solve_runs_greedy_once_per_component(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,6 @@ from stablecut import (
     cut_value,
     find_max_cut_greedy,
     gen_planted,
-    greedy_applicability,
     high_degree_solve,
     stabilize_by_scaling,
     weighted_degrees,
@@ -118,7 +117,6 @@ def assert_matches_reference(g: WeightedGraph, gammas) -> None:
     for gamma in gammas:
         _, _, ref_flags = _run_greedy(g, gamma)
         assert [s.bundles < gamma for s in steps] == ref_flags
-        assert greedy_applicability(g, gamma) == (ref_flags, all(ref_flags))
 
 
 @st.composite
@@ -196,14 +194,13 @@ def test_greedy_disconnected_recombines():
 
 
 def test_applicability_examples(c4, k2):
-    flags, overall = greedy_applicability(c4, 5.0)
-    assert overall and all(flags)
-    flags, overall = greedy_applicability(k2, 1.5)
-    assert overall
+    def flags(g, gamma):
+        return [s.bundles < gamma for s in find_max_cut_greedy(g)[1]]
+
+    assert all(flags(c4, 5.0))
+    assert all(flags(k2, 1.5))
     star = WeightedGraph.from_edges(5, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0)])
-    flags, overall = greedy_applicability(star, 3.0)
-    assert flags[0] is False
-    assert not overall
+    assert flags(star, 3.0)[0] is False
 
 
 def test_conflict_graph_k44(k44):

@@ -37,15 +37,12 @@ def _sha(g) -> str:
     return hashlib.sha256(dumps_graph(g).encode()).hexdigest()
 
 
-def test_distribution_parsing_and_moments():
-    d = WeightDistribution.parse("uniform:0.5:1.5")
-    assert d.mean == 1.0
-    assert d.variance == pytest.approx(1.0 / 12.0)
-    d = WeightDistribution.parse("constant:2")
-    assert d.mean == 2.0 and d.variance == 0.0
+def test_distribution_parsing():
+    assert WeightDistribution.parse("uniform:0.5:1.5") == WeightDistribution.uniform(0.5, 1.5)
+    assert WeightDistribution.parse("constant:2") == WeightDistribution.constant(2.0)
     d = WeightDistribution.parse("two_point:0.25:1:3")
-    assert d.mean == pytest.approx(0.75 * 1 + 0.25 * 3)
-    assert d.variance == pytest.approx(0.25 * 0.75 * 4)
+    assert d == WeightDistribution.two_point(0.25, 1.0, 3.0)
+    assert d.spec() == "two_point:0.25:1.0:3.0"
     with pytest.raises(ValidationError):
         WeightDistribution.parse("gauss:0:1")
     with pytest.raises(ValidationError):

@@ -13,7 +13,6 @@ from stablecut import (
     ValidationError,
     WeightedGraph,
     brute_force_max_cut,
-    cheeger_constant,
     cut_value,
     local_stability_gamma,
     oracle,
@@ -109,10 +108,10 @@ def test_alpha_examples(triangle):
 
 
 def test_cheeger_examples(c4, k2):
-    assert cheeger_constant(c4) == 1.0
-    assert cheeger_constant(k2) == 1.0
+    assert stability_report(c4).cheeger == 1.0
+    assert stability_report(k2).cheeger == 1.0
     k4 = WeightedGraph(np.ones((4, 4)) - np.eye(4))
-    assert cheeger_constant(k4) == 2.0
+    assert stability_report(k4).cheeger == 2.0
 
 
 def test_attack_brackets_gamma_star(triangle, c4):

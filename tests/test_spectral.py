@@ -21,7 +21,6 @@ from stablecut import (
     eigen_smallest_two,
     family_condition_checks,
     gw_bound,
-    is_psd,
     local_stability_gamma,
     psd_sufficient_margin,
     spectral_gamma_requirement,
@@ -94,17 +93,11 @@ def test_diagonal_examples(k2, c4):
     d = build_diagonal_from_cut(k2, Cut(np.array([1, -1])))
     assert d.tolist() == [1.0, 1.0]
     m = k2.weights + np.diag(d)
-    assert is_psd(m)
+    assert build_certificate(k2, Cut(np.array([1, -1]))).psd
     assert np.abs(m @ np.array([1.0, -1.0])).max() == 0.0
 
     d = build_diagonal_from_cut(c4, Cut(np.array([1, -1, 1, -1])))
     assert d.tolist() == [2.0, 2.0, 2.0, 2.0]
-
-
-def test_is_psd_examples(c4):
-    assert is_psd(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert not is_psd(np.array([[-1.0, 0.0], [0.0, 1.0]]))
-    assert is_psd(c4.weights + np.diag([2.0, 2.0, 2.0, 2.0]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -162,8 +155,7 @@ def test_margin_soundness(n, seed):
     cut, _, _ = brute_force_max_cut(g)
     ok, _ = psd_sufficient_margin(g, cut)
     if ok:
-        d = build_diagonal_from_cut(g, cut)
-        assert is_psd(g.weights + np.diag(d))
+        assert build_certificate(g, cut).psd
 
 
 @settings(max_examples=20, deadline=None)
@@ -184,7 +176,7 @@ def test_spectral_recovery_soundness(n, seed):
 
 def test_family_checks_on_c4(c4):
     cut, _, _ = brute_force_max_cut(c4)
-    verdicts = {v.name: v for v in family_condition_checks(c4, cut)}
+    verdicts = {v.name: v for v in family_condition_checks(c4, cut, stability_report(c4))}
     v = verdicts["equal_degree_spectral_ratio"]
     assert v.applicable and v.holds
     assert v.lhs == pytest.approx(0.0, abs=1e-12)
@@ -196,6 +188,11 @@ def test_family_checks_on_c4(c4):
     v = verdicts["distinctness"]
     assert v.applicable
     assert v.detail["h_ge_k"] is True
+    # the exact quantities come only from a profile
+    verdicts = {v.name: v for v in family_condition_checks(c4, cut)}
+    assert verdicts["regular_expander"].applicable
+    assert not verdicts["cheeger_expansion"].applicable
+    assert not verdicts["distinctness"].applicable
 
 
 def test_family_checks_not_applicable_on_weighted(triangle):
