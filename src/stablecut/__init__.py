@@ -9,7 +9,6 @@ from .combinatorial import (
 )
 from .dualsdp import (
     DualSolution,
-    extended_spectral_solve,
     polish_cut,
     solve_min_trace,
 )

@@ -9,16 +9,20 @@ Pass --no-timing to zero wall-clock fields so reruns are byte-identical.
 The env var STABLECUT_ORACLE_LIMIT overrides the exhaustive-enumeration cap
 (an integer in 1..32, default 22); any other value exits 2.  A graph file
 may declare at most 4096 vertices (graph.MAX_FILE_VERTICES); a larger
-header exits 4 before anything is allocated.  Exit 2 also covers a graph
-file that cannot be read or is not ASCII, weights summing above
-graph.MAX_WEIGHT_SUM, --max-iter below 1 where the dual runs, and bench
---trials below 1.
+header exits 4 before anything is allocated, and so do gen planted, gen
+gnp and bench with an --n above that, and gen amplify of a file with more
+than half that many vertices.  Exit 2 also covers a graph file that cannot
+be read or is not ASCII, weights summing above graph.MAX_WEIGHT_SUM,
+--max-iter below 1 where the dual runs, a --tol (solve, bench) that is not
+a finite number >= 0, a solve --gamma that is not finite, a bench --n or
+--gamma list token that is not a number, and bench --trials below 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import combinatorial, dualsdp, generators, oracle, report, spectral
 from .errors import DomainError, SizeLimitError, ValidationError
-from .graph import MAX_FILE_VERTICES, WeightedGraph, load_graph, save_graph
+from .graph import MAX_FILE_VERTICES, WeightedGraph, _check_file_vertices, load_graph, save_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,6 +52,12 @@ def _oracle_limit() -> int:
             f"STABLECUT_ORACLE_LIMIT must be in 1..{oracle.MAX_ENUM_LIMIT}, got {raw!r}"
         )
     return limit
+
+
+def _check_finite(option: str, value: float | None, minimum: float = -math.inf) -> None:
+    if value is not None and not (math.isfinite(value) and value >= minimum):
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise ValidationError(f"{option} must be a finite number{bound}, got {value!r}")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -141,6 +151,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_finite("--tol", args.tol, 0.0)
+    _check_finite("--gamma", args.gamma)
     g = _load(args.graph)
     limit = _oracle_limit()
     solvers = list(report.SOLVERS) if args.solver == "all" else [args.solver]
@@ -229,7 +241,8 @@ def _bench_cell(
         g = inst.graph
         t0 = time.perf_counter()
         if solver == "dual":
-            cut, _, cert = dualsdp.extended_spectral_solve(g, tol=tol, max_iter=max_iter)
+            sol = dualsdp.solve_min_trace(g, tol=tol, max_iter=max_iter)
+            cut, cert = sol.best_cut, sol.converged
         elif solver == "greedy":
             cut, steps = combinatorial.find_max_cut_greedy(g)
             cert = all(s.bundles < gamma for s in steps)
@@ -247,13 +260,22 @@ def _bench_cell(
     return recovered / trials, certified / trials, total_ms / trials
 
 
+def _parse_list(option: str, text: str, kind: type) -> list:
+    try:
+        return sorted({kind(token) for token in text.split(",")})
+    except ValueError as exc:  # its message names the token
+        raise ValidationError(f"{option}: {exc}") from None
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValidationError(f"--trials must be at least 1, got {args.trials}")
+    _check_finite("--tol", args.tol, 0.0)
     dist = generators.WeightDistribution.parse(args.dist)
     limit = _oracle_limit()
-    ns = sorted({int(x) for x in args.n.split(",")})
-    gammas = sorted({float(x) for x in args.gamma.split(",")})
+    ns = _parse_list("--n", args.n, int)
+    gammas = _parse_list("--gamma", args.gamma, float)
+    _check_file_vertices(ns[-1])
     solvers = sorted({s for s in args.solver.split(",")})
     for s in solvers:
         if s not in ("dual", "greedy", "spectral", "oracle"):

@@ -1,10 +1,12 @@
-"""First-order solver for the min-trace dual SDP and the certified
-extended-spectral Max-Cut solver built on it.
+"""First-order solver for the min-trace dual SDP, which is also the
+certified extended-spectral Max-Cut solver.
 
 The dual problem: minimize sum(d) over diagonals d with W + diag(d)
 positive semidefinite.  Weak duality gives sum(d) >= -c'Wc for every cut
 sign vector c, so a feasible diagonal whose trace matches the value of a
-concrete cut certifies that cut as maximal.
+concrete cut certifies that cut as maximal.  The solver's answer is the
+best cut it scored, and that cut is certified exactly when the solver
+converged.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import Cut, WeightedGraph, _cut_quadratic, _side_weights
-from .spectral import bottom_spectrum, build_diagonal_from_cut
+from .spectral import _sign_cut, bottom_spectrum, build_diagonal_from_cut
 
 __all__ = [
     "DualSolution",
     "solve_min_trace",
-    "extended_spectral_solve",
     "polish_cut",
 ]
 
@@ -32,10 +33,11 @@ DEFAULT_MAX_ITER = 5000
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Best feasible diagonal found, with its duality gap.
+    """Best feasible diagonal found, with its duality gap and the best cut.
 
-    gap = trace - lower_bound; it is nonnegative up to roundoff, and a gap
-    within tolerance proves the best cut encountered is maximal.
+    gap = trace - lower_bound, where lower_bound is the value of best_cut;
+    it is nonnegative up to roundoff, and converged = True (a gap within
+    tolerance) proves best_cut maximal.
     """
 
     d: np.ndarray
@@ -45,7 +47,7 @@ class DualSolution:
     gap: float
     iterations: int
     converged: bool
-    best_cut: Cut | None
+    best_cut: Cut
 
 
 def polish_cut(g: WeightedGraph, c: Cut) -> Cut:
@@ -60,11 +62,7 @@ def polish_cut(g: WeightedGraph, c: Cut) -> Cut:
         if gains[v] <= 1e-12 * scale:
             break
         s[v] = -s[v]
-    return Cut(np.where(s > 0, 1, -1).astype(np.int8))
-
-
-def _round_eigvec(u: np.ndarray) -> np.ndarray:
-    return np.where(u > 0, 1, -1).astype(np.int8)
+    return _sign_cut(s)
 
 
 def solve_min_trace(
@@ -80,8 +78,9 @@ def solve_min_trace(
     to feasibility by adding (-lambda_min)+ to all entries, and its
     sign-rounded bottom eigenvector is polished and scored as a cut to
     tighten the lower bound; when the kernel diagonal of a scored cut is
-    itself feasible the gap closes exactly.  Exhausting max_iter returns the
-    best iterate with converged = False.
+    itself feasible the gap closes exactly.  The answer is best_cut, the
+    best cut scored, and converged = True certifies it maximal.  Exhausting
+    max_iter returns the best iterate with converged = False.
     """
     if g.n < 1:
         raise ValidationError("graph must be nonempty")
@@ -97,13 +96,13 @@ def solve_min_trace(
     best_trace = float(d.sum())
     best_lambda = 0.0
     lower = -math.inf
-    best_cut: Cut | None = None
+    best_cut = None  # iteration 1 scores a cut, and any value beats -inf
     converged = False
     iterations = 0
 
-    def consider_cut(signs: np.ndarray) -> None:
+    def consider_cut(rounded: Cut) -> None:
         nonlocal lower, best_cut, best_d, best_trace, best_lambda
-        cut = polish_cut(g, Cut(signs))
+        cut = polish_cut(g, rounded)
         val = _cut_quadratic(g, cut)
         if val <= lower:
             return
@@ -130,7 +129,7 @@ def solve_min_trace(
             best_trace = trace_f
             best_lambda = max(lam, 0.0)
 
-        consider_cut(_round_eigvec(u))
+        consider_cut(_sign_cut(u))
 
         gap = best_trace - lower
         if on_iteration is not None:
@@ -155,29 +154,3 @@ def solve_min_trace(
         converged=converged,
         best_cut=best_cut,
     )
-
-
-def extended_spectral_solve(
-    g: WeightedGraph,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    on_iteration: Callable[[int, float, float, float], None] | None = None,
-) -> tuple[Cut, DualSolution, bool]:
-    """Solve the dual SDP, sign-round the bottom eigenvector of the shifted
-    matrix, polish with single-vertex flips, and certify by weak duality.
-
-    The returned cut is the better of that rounding and the best cut the
-    solver scored.  certified = True means the duality gap closed and the
-    cut's value matches the dual trace, so the cut is provably maximal.
-    The dual runs once, on W: a cut is certified only through its kernel
-    diagonal on W, which the solver tries for every cut that raises its
-    lower bound.
-    """
-    sol = solve_min_trace(g, tol=tol, max_iter=max_iter, on_iteration=on_iteration)
-    _, u, _ = bottom_spectrum(g, sol.d)
-    cut = polish_cut(g, Cut(_round_eigvec(u)))
-    if sol.best_cut is not None and _cut_quadratic(g, sol.best_cut) >= _cut_quadratic(g, cut):
-        cut = sol.best_cut
-    scale = max(1.0, abs(sol.trace))
-    certified = sol.gap <= tol * scale and abs(_cut_quadratic(g, cut) - sol.trace) <= tol * scale
-    return cut, sol, bool(certified)

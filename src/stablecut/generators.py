@@ -3,7 +3,8 @@
 All randomness flows through numpy's Philox4x64-10 bit generator seeded via
 SeedSequence(seed), and draws happen in a pinned order (upper-triangle
 weights row-major, then the planted side), so every generator is a pure
-function of (parameters, seed).
+function of (parameters, seed).  A generator whose graph would exceed
+graph.MAX_FILE_VERTICES raises SizeLimitError before allocating it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ValidationError
-from .graph import Cut, WeightedGraph
+from .graph import Cut, WeightedGraph, _check_file_vertices
 
 __all__ = [
     "WeightDistribution",
@@ -125,6 +126,7 @@ def gen_planted(
         raise ValidationError(f"planted model needs an even n >= 2, got {n}")
     if gamma < 1:
         raise ValidationError(f"gamma must be >= 1, got {gamma}")
+    _check_file_vertices(n)
     rng = _rng(seed)
     iu, ju = np.triu_indices(n, 1)
     w = np.zeros((n, n))
@@ -150,6 +152,7 @@ def gen_gnp_simple(n: int, p: float, seed: int) -> WeightedGraph:
         raise ValidationError(f"edge probability must lie in (0, 1), got {p}")
     if n < 1:
         raise ValidationError("n must be positive")
+    _check_file_vertices(n)
     rng = _rng(seed)
     iu, ju = np.triu_indices(n, 1)
     w = np.zeros((n, n))
@@ -209,6 +212,7 @@ def cross_product_amplify(g: WeightedGraph, tau: float = 1.0) -> WeightedGraph:
     if tau < 1:
         raise ValidationError(f"tau must be >= 1, got {tau}")
     n = g.n
+    _check_file_vertices(2 * n)
     w = g.weights
     matching = tau * np.diag(w.sum(axis=1))
     top = np.hstack([w, matching])

@@ -44,12 +44,11 @@ class WeightedGraph:
     The unweighted *support* is the graph of strictly positive entries;
     simple-degree statistics refer to it.
 
-    `_spectra` memoizes spectral.bottom_spectrum: the bottom of the spectrum
-    of W + diag(d), keyed by the bytes of d (None for W itself), so equal
-    keys mean a bit-identical matrix.  It holds W's entry plus at most
-    spectral.SPECTRUM_MEMO_SIZE shifted entries, least recently used first
-    out, and lives and dies with this graph: nothing is shared between
-    graphs, so a file loaded twice is solved twice.
+    `_spectra` memoizes spectral.bottom_spectrum in two slots: W's own
+    bottom spectrum, and that of the most recently solved W + diag(d), keyed
+    by the bytes of d so that equal keys mean a bit-identical matrix.  It
+    lives and dies with this graph: nothing is shared between graphs, so a
+    file loaded twice is solved twice.
     """
 
     weights: np.ndarray
@@ -265,6 +264,14 @@ def apply_perturbation(g: WeightedGraph, p: Perturbation) -> WeightedGraph:
 
 MAX_FILE_VERTICES = 4096
 
+
+def _check_file_vertices(n: int) -> None:
+    """Raise SizeLimitError (exit 4) when an n-vertex graph exceeds the file
+    limit; loading and generating both check this before allocating."""
+    if n > MAX_FILE_VERTICES:
+        raise SizeLimitError(f"n={n} exceeds the graph file limit of {MAX_FILE_VERTICES} vertices")
+
+
 MAX_WEIGHT_SUM = 2.0**900
 """Cap on W.sum() (twice the total weight), checked by WeightedGraph.
 
@@ -337,8 +344,7 @@ def loads_graph(text: str) -> WeightedGraph:
         raise ValidationError(f"bad header line: {lines[0]!r}") from exc
     if n < 0 or m < 0:
         raise ValidationError("negative counts in header")
-    if n > MAX_FILE_VERTICES:
-        raise SizeLimitError(f"n={n} exceeds the graph file limit of {MAX_FILE_VERTICES} vertices")
+    _check_file_vertices(n)
     if m > n * (n - 1) // 2:
         raise ValidationError(f"m={m} exceeds the {n * (n - 1) // 2} vertex pairs of n={n}")
     body = lines[1:]

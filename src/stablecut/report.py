@@ -132,12 +132,10 @@ def solver_entry_dual(
     on_iteration: Callable[[int, float, float, float], None] | None = None,
 ) -> dict:
     t = _Timer(timing)
-    cut, sol, certified = dualsdp.extended_spectral_solve(
-        g, tol=tol, max_iter=max_iter, on_iteration=on_iteration
-    )
+    sol = dualsdp.solve_min_trace(g, tol=tol, max_iter=max_iter, on_iteration=on_iteration)
     return _entry(
-        g, cut, t,
-        certified=certified,
+        g, sol.best_cut, t,
+        certified=sol.converged,
         trace=sol.trace,
         lower_bound=sol.lower_bound,
         gap=sol.gap,

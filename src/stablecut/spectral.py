@@ -21,7 +21,6 @@ __all__ = [
     "GW_FLOOR",
     "SpectralCertificate",
     "ConditionVerdict",
-    "SPECTRUM_MEMO_SIZE",
     "eigen_smallest_two",
     "bottom_spectrum",
     "spectral_partition",
@@ -41,9 +40,6 @@ LOCAL_GAMMA_CAP = 1e12
 # Unconditional Goemans-Williamson guarantee, printed alongside the
 # ratio-dependent bound.
 GW_FLOOR = 0.8786
-# Shifted matrices whose bottom spectrum a graph remembers (W's own entry
-# is kept besides them); see WeightedGraph and bottom_spectrum.
-SPECTRUM_MEMO_SIZE = 4
 # Guards every graph's memo; graphs may be shared between threads.
 _SPECTRA_LOCK = threading.Lock()
 
@@ -85,42 +81,39 @@ def _shifted(g: WeightedGraph, d: np.ndarray | None) -> np.ndarray:
 def bottom_spectrum(
     g: WeightedGraph, d: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, float]:
-    """eigen_smallest_two(W + diag(d)), solved once per distinct d per graph.
+    """eigen_smallest_two(W + diag(d)), remembered in two slots on g.
 
-    The result is memoized on g under the bytes of d (None for W), so a
-    repeated d returns exactly what a fresh solve would; the eigenvector is
-    shared and therefore read-only.  W's entry stays, and the shifted
-    entries beyond SPECTRUM_MEMO_SIZE are dropped least recently used first.
+    One slot holds W's spectrum (d is None), the other the most recently
+    solved shifted matrix, keyed by the bytes of d; a new d replaces it.  A
+    repeated matrix returns exactly what a fresh solve would; the
+    eigenvector is shared and therefore read-only.
     """
     if d is not None:
         d = np.asarray(d, dtype=np.float64)
         if d.shape != (g.n,):
             raise ValidationError(f"diagonal shift must have length {g.n}")
+    slot = d is not None
     key = None if d is None else d.tobytes()
-    memo = g._spectra
     with _SPECTRA_LOCK:
-        spectrum = memo.pop(key, None)
-    if spectrum is None:
-        spectrum = eigen_smallest_two(_shifted(g, d))
-        spectrum[1].setflags(write=False)
+        held = g._spectra.get(slot)
+    if held is not None and held[0] == key:
+        return held[1]
+    spectrum = eigen_smallest_two(_shifted(g, d))
+    spectrum[1].setflags(write=False)
     with _SPECTRA_LOCK:
-        memo[key] = spectrum
-        if len(memo) - (None in memo) > SPECTRUM_MEMO_SIZE:
-            for k in memo:
-                if k is not None:
-                    del memo[k]
-                    break
+        g._spectra[slot] = (key, spectrum)
     return spectrum
 
 
-def spectral_partition(g: WeightedGraph, d: np.ndarray | None = None) -> Cut:
-    """Cut induced by the eigenvector of the least eigenvalue of W + diag(d).
+def _sign_cut(u: np.ndarray) -> Cut:
+    """Entries > 0 go to one side, entries <= 0 to the other."""
+    return Cut(np.where(u > 0, 1, -1).astype(np.int8))
 
-    Entries > 0 go to one side, entries <= 0 to the other; d defaults to zero.
-    """
-    _, u, _ = bottom_spectrum(g, d)
-    signs = np.where(u > 0, 1, -1).astype(np.int8)
-    return Cut(signs)
+
+def spectral_partition(g: WeightedGraph, d: np.ndarray | None = None) -> Cut:
+    """Cut induced by the sign pattern (see _sign_cut) of the eigenvector of
+    the least eigenvalue of W + diag(d); d defaults to zero."""
+    return _sign_cut(bottom_spectrum(g, d)[1])
 
 
 def build_diagonal_from_cut(g: WeightedGraph, c: Cut) -> np.ndarray:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from stablecut import (
-    WeightDistribution, WeightedGraph, combinatorial, dualsdp, dumps_graph, gen_planted, graph,
-    load_graph, oracle, stability_report,
+    WeightDistribution, WeightedGraph, combinatorial, dualsdp, dumps_graph, gen_planted,
+    generators, graph, load_graph, oracle, stability_report,
 )
 from stablecut.cli import main
 
@@ -128,13 +128,15 @@ def test_solve_oracle_over_limit_exits_4(tmp_path, capsys):
 
 
 class _NoAlloc:
-    """numpy as the graph module sees it, except that allocating fails."""
+    """numpy as a module sees it, except that allocating a graph fails."""
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def zeros(self, *args, **kwargs):
-        raise AssertionError("allocated for an oversized header")
+        raise AssertionError("allocated for an oversized graph")
+
+    triu_indices = diag = zeros
 
 
 @pytest.mark.parametrize("command", ["verify", "solve"])
@@ -144,6 +146,27 @@ def test_oversized_header_exits_4_before_allocating(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(graph, "np", _NoAlloc())
     assert main([command, str(path)]) == 4
     assert str(graph.MAX_FILE_VERTICES) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "planted", "--n", str(graph.MAX_FILE_VERTICES + 2), "--gamma", "2"],
+        ["gen", "gnp", "--n", str(graph.MAX_FILE_VERTICES + 1), "--p", "0.5"],
+        ["bench", "--n", f"4,{graph.MAX_FILE_VERTICES + 2}", "--gamma", "2", "--trials", "1"],
+        ["gen", "amplify", "--input"],
+    ],
+)
+def test_generators_exit_4_before_allocating(tmp_path, capsys, monkeypatch, argv):
+    if argv[:2] == ["gen", "amplify"]:  # the doubled graph is one vertex too large
+        path = tmp_path / "half.graph"
+        path.write_text(f"{graph.MAX_FILE_VERTICES // 2 + 1} 0\n")
+        argv = argv + [str(path)]
+    monkeypatch.setattr(generators, "np", _NoAlloc())
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == 4
+    assert str(graph.MAX_FILE_VERTICES) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_unreadable_file_exits_2(tmp_path):
@@ -174,20 +197,41 @@ def test_solve_ignores_sidecar_unless_ascii_object(tmp_path, capsys, sidecar):
     assert doc["instance"]["generator"] is None
 
 
+_BENCH = ["bench", "--n", "4", "--gamma", "2", "--trials", "1"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve", "--max-iter", "0"],
-        ["bench", "--n", "4", "--gamma", "2", "--trials", "0"],
-        ["bench", "--n", "4", "--gamma", "2", "--trials", "1", "--max-iter", "0"],
+        (["solve", "--max-iter", "0"], "at least 1"),
+        (["bench", "--n", "4", "--gamma", "2", "--trials", "0"], "at least 1"),
+        (_BENCH + ["--max-iter", "0"], "at least 1"),
+        (["solve", "--tol", "inf"], "--tol must be a finite number >= 0, got inf"),
+        (["solve", "--tol", "nan"], "--tol must be a finite number >= 0, got nan"),
+        (["solve", "--tol=-1e-9"], "--tol must be a finite number >= 0, got -1e-09"),
+        (["solve", "--gamma", "inf"], "--gamma must be a finite number, got inf"),
+        (["solve", "--gamma", "nan"], "--gamma must be a finite number, got nan"),
+        (["solve", "--solver", "dual", "--tol", "inf", "--require-certified"], "got inf"),
+        (_BENCH + ["--tol", "inf"], "--tol must be a finite number >= 0, got inf"),
+        (_BENCH + ["--tol", "-1"], "--tol must be a finite number >= 0, got -1.0"),
+        (
+            ["bench", "--n", "4,abc", "--gamma", "2"],
+            "--n: invalid literal for int() with base 10: 'abc'",
+        ),
+        (
+            ["bench", "--n", "4", "--gamma", "2,x"],
+            "--gamma: could not convert string to float: 'x'",
+        ),
+        (["bench", "--n", "4,", "--gamma", "2"], "--n: invalid literal for int() with base 10: ''"),
     ],
 )
 def test_degenerate_options_exit_2(tmp_path, capsys, argv):
+    argv, message = argv
     if argv[0] == "solve":
         argv = argv + [_write_triangle(tmp_path)]
     assert main(argv) == 2
     out = capsys.readouterr()
-    assert out.out == "" and "at least 1" in out.err
+    assert out.out == "" and message in out.err
 
 
 _OVERFLOWING = {
@@ -414,22 +458,23 @@ def _count_eigh(monkeypatch) -> list:
 
 
 def test_solve_eigensolves_each_matrix_once(tmp_path, capsys, monkeypatch):
-    gen = ["gen", "planted", "--n", "40", "--gamma", "4", "--seed", "3", "-o", str(tmp_path)]
-    assert main(gen) == 0
-    path = capsys.readouterr().out.strip()
     calls = _count_eigh(monkeypatch)
-    argv = ["solve", "--solver", "all", "--gamma", "4", "--no-timing", path]
-    assert main(argv) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["solvers"]["dual"]["certified"] and doc["solvers"]["dual"]["iterations"] == 1
-    # W, the first dual iterate and the certified cut's kernel matrix (and
-    # the dual's final matrix when its shift is not exactly 0); W and the
-    # kernel matrix were solved twice and three times before
-    first = len(calls)
-    assert 3 <= first <= 4
-    # each op re-solves: nothing is remembered across graphs
-    assert main(argv) == 0
-    assert len(calls) == 2 * first
+    for n, seed in [("40", "3"), ("200", "6")]:
+        gen = ["gen", "planted", "--n", n, "--gamma", "4", "--seed", seed, "-o", str(tmp_path)]
+        assert main(gen) == 0
+        path = capsys.readouterr().out.strip()
+        calls.clear()
+        argv = ["solve", "--solver", "all", "--gamma", "4", "--no-timing", path]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["solvers"]["dual"]["certified"] and doc["solvers"]["dual"]["iterations"] == 1
+        # W, the first dual iterate and the certified cut's kernel matrix,
+        # which the conditions block reads again
+        assert calls == [int(n)] * 3
+        # each op re-solves: nothing is remembered across graphs
+        assert main(argv) == 0
+        assert len(calls) == 6
+        capsys.readouterr()
 
 
 def test_bench_deterministic_and_correct(tmp_path):

@@ -12,7 +12,6 @@ from stablecut import (
     brute_force_max_cut,
     build_certificate,
     cut_value,
-    extended_spectral_solve,
     gen_planted,
     polish_cut,
     solve_min_trace,
@@ -50,24 +49,22 @@ def test_unit_triangle_has_positive_gap(unit_triangle):
     assert not sol.converged
     assert sol.trace == pytest.approx(3.0, abs=1e-6)
     assert sol.lower_bound == pytest.approx(2.0, abs=1e-12)
-    cut, sol, certified = extended_spectral_solve(unit_triangle, max_iter=400)
-    assert not certified
-    assert cut_value(unit_triangle, cut) == pytest.approx(2.0)
+    assert cut_value(unit_triangle, sol.best_cut) == pytest.approx(2.0)
 
 
 def test_extended_solve_c4_certified(c4):
-    cut, sol, certified = extended_spectral_solve(c4)
-    assert certified
-    assert cut == Cut(np.array([1, -1, 1, -1]))
+    sol = solve_min_trace(c4)
+    assert sol.converged
+    assert sol.best_cut == Cut(np.array([1, -1, 1, -1]))
     assert sol.gap <= 1e-6
 
 
 def test_planted_instance_certified_and_exact():
     inst = gen_planted(14, WeightDistribution.uniform(0.5, 1.5), 4.0, seed=1)
-    cut, sol, certified = extended_spectral_solve(inst.graph)
+    sol = solve_min_trace(inst.graph)
     bf, _, _ = brute_force_max_cut(inst.graph)
-    assert certified
-    assert cut == bf == inst.planted
+    assert sol.converged
+    assert sol.best_cut == bf == inst.planted
     assert sol.gap <= 1e-6
 
 
@@ -154,17 +151,17 @@ def test_strong_duality_when_certificate_exists(n, seed):
         return
     if not build_certificate(g, bf).psd:
         return
-    cut, sol, certified = extended_spectral_solve(g)
-    assert certified
+    sol = solve_min_trace(g)
+    assert sol.converged
     assert sol.gap <= 1e-6 * max(1.0, abs(sol.trace))
-    assert cut == bf
+    assert sol.best_cut == bf
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=3, max_value=9), st.integers(min_value=0, max_value=3_000))
 def test_certified_implies_exact(n, seed):
     g = random_weighted(n, seed)
-    cut, sol, certified = extended_spectral_solve(g, max_iter=300)
-    if certified:
+    sol = solve_min_trace(g, max_iter=300)
+    if sol.converged:
         _, best_value, _ = brute_force_max_cut(g)
-        assert cut_value(g, cut) == pytest.approx(best_value, rel=1e-9)
+        assert cut_value(g, sol.best_cut) == pytest.approx(best_value, rel=1e-9)

@@ -278,22 +278,20 @@ def test_bottom_spectrum_solves_each_diagonal_once(monkeypatch, c4):
 def test_bottom_spectrum_memo_is_bounded_and_keeps_w(monkeypatch, c4):
     solved = _count_solves(monkeypatch)
     bottom_spectrum(c4)
-    shifts = [np.full(4, float(k)) for k in range(spectral.SPECTRUM_MEMO_SIZE + 3)]
-    for d in shifts:
-        bottom_spectrum(c4, d)
-    assert len(c4._spectra) == spectral.SPECTRUM_MEMO_SIZE + 1
-    n_solved = len(solved)
+    first, second = np.full(4, 1.0), np.full(4, 2.0)
+    bottom_spectrum(c4, first)
+    bottom_spectrum(c4, first.copy())
+    assert len(solved) == 2
+    bottom_spectrum(c4, second)  # a new shifted matrix replaces the last one
+    assert len(c4._spectra) == 2
     bottom_spectrum(c4)  # W stays
-    kept = shifts[-spectral.SPECTRUM_MEMO_SIZE :]
-    for d in kept:  # the latest shifts stay; reading kept[0] makes kept[1] the oldest
-        bottom_spectrum(c4, d)
-    bottom_spectrum(c4, kept[0])
-    assert len(solved) == n_solved
-    bottom_spectrum(c4, shifts[0])  # dropped before, and now drops kept[1]
-    bottom_spectrum(c4, kept[0])
-    assert len(solved) == n_solved + 1
-    bottom_spectrum(c4, kept[1])
-    assert len(solved) == n_solved + 2
+    bottom_spectrum(c4, second)
+    assert len(solved) == 3
+    bottom_spectrum(c4, first)  # replaced before, so solved again
+    assert len(solved) == 4
+    bottom_spectrum(c4, second)
+    assert len(solved) == 5
+    assert len(c4._spectra) == 2
 
 
 def test_bottom_spectrum_rejects_wrong_length(c4):
@@ -304,18 +302,21 @@ def test_bottom_spectrum_rejects_wrong_length(c4):
 
 
 class _SwitchingDict(dict):
-    """A memo that lets other threads run while it is iterated."""
+    """A memo that lets other threads run while it is read or written."""
 
-    def __iter__(self):
-        for key in list(super().__iter__()):
-            time.sleep(0)
-            yield key
+    def get(self, key, default=None):
+        time.sleep(0)
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        time.sleep(0)
+        super().__setitem__(key, value)
 
 
 def test_bottom_spectrum_shared_between_threads():
     g = random_weighted(8, 11)
     object.__setattr__(g, "_spectra", _SwitchingDict())
-    shifts = [None] + [np.full(8, float(k)) for k in range(2 * spectral.SPECTRUM_MEMO_SIZE)]
+    shifts = [None] + [np.full(8, float(k)) for k in range(8)]
     expected = [
         eigen_smallest_two(g.weights if d is None else g.weights + np.diag(d)) for d in shifts
     ]
@@ -343,4 +344,4 @@ def test_bottom_spectrum_shared_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(g._spectra) <= spectral.SPECTRUM_MEMO_SIZE + 1
+    assert len(g._spectra) <= 2
