@@ -10,12 +10,13 @@ The env var STABLECUT_ORACLE_LIMIT overrides the exhaustive-enumeration cap
 (an integer in 1..32, default 22); any other value exits 2.  A graph file
 may declare at most 4096 vertices (graph.MAX_FILE_VERTICES); a larger
 header exits 4 before anything is allocated, and so do gen planted, gen
-gnp and bench with an --n above that, and gen amplify of a file with more
-than half that many vertices.  Exit 2 also covers a graph file that cannot
-be read or is not ASCII, weights summing above graph.MAX_WEIGHT_SUM,
---max-iter below 1 where the dual runs, a --tol (solve, bench) that is not
-a finite number >= 0, a solve --gamma that is not finite, a bench --n or
---gamma list token that is not a number, and bench --trials below 1.
+gnp and bench with an --n above that, gen amplify of a file with more
+than half that many vertices, and bench --solver oracle with an --n above
+the enumeration cap.  Exit 2 also covers a graph file that cannot be read
+or is not ASCII, weights summing above graph.MAX_WEIGHT_SUM, --max-iter
+below 1 where the dual runs, a --tol (solve, bench) that is not a finite
+number >= 0, a --gamma or --tau that is not finite, a bench --n or --gamma
+list token that is not a number, and bench --trials below 1.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ def _write_instance(outdir: str, stem: str, g: WeightedGraph, sidecar: dict) -> 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.model == "planted":
+        _check_finite("--gamma", args.gamma)
         dist = generators.WeightDistribution.parse(args.dist)
         inst = generators.gen_planted(args.n, dist, args.gamma, args.seed)
         stem = f"planted_n{args.n}_g{args.gamma!r}_s{args.seed}"
@@ -118,6 +120,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         sidecar = {"model": "gnp", "seed": args.seed, "params": {"n": args.n, "p": args.p}}
         path = _write_instance(args.out, stem, g, sidecar)
     elif args.model == "scale":
+        _check_finite("--gamma", args.gamma)
         base = _load(args.input)
         limit = _oracle_limit()
         scaled = generators.stabilize_by_scaling(base, args.gamma, seed=args.seed, limit=limit)
@@ -131,7 +134,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             "verified_gamma_star": report._num(verified.gamma_star),
         }
         path = _write_instance(args.out, stem, scaled, sidecar)
-    elif args.model == "amplify":
+    else:  # amplify; argparse restricts the models
+        _check_finite("--tau", args.tau)
         base = _load(args.input)
         amplified = generators.cross_product_amplify(base, args.tau)
         src = os.path.splitext(os.path.basename(args.input))[0]
@@ -141,8 +145,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
             "params": {"input": os.path.basename(args.input), "tau": args.tau},
         }
         path = _write_instance(args.out, stem, amplified, sidecar)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown model {args.model!r}")
     print(path)
     return EXIT_OK
 
@@ -249,10 +251,8 @@ def _bench_cell(
         elif solver == "spectral":
             cut = spectral.spectral_partition(g)
             cert = False
-        elif solver == "oracle":
+        else:  # oracle: cmd_bench has rejected every other name
             cut, _, cert = oracle.brute_force_max_cut(g, limit)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValidationError(f"unknown bench solver {solver!r}")
         if timing:
             total_ms += (time.perf_counter() - t0) * 1000.0
         recovered += cut == inst.planted
@@ -275,13 +275,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     limit = _oracle_limit()
     ns = _parse_list("--n", args.n, int)
     gammas = _parse_list("--gamma", args.gamma, float)
+    for gamma in gammas:
+        _check_finite("--gamma", gamma)
     _check_file_vertices(ns[-1])
     solvers = sorted({s for s in args.solver.split(",")})
     for s in solvers:
         if s not in ("dual", "greedy", "spectral", "oracle"):
             raise ValidationError(f"unknown bench solver {s!r}")
+    if "oracle" in solvers and ns[-1] > limit:
+        raise SizeLimitError(f"--n {ns[-1]} exceeds the oracle's enumeration limit {limit}")
 
-    rows = []
+    # the loops run in (n, gamma, solver) order, the CSV's row order
+    lines = ["n,gamma,dist,trials,solver,recovery_rate,certified_rate,mean_ms"]
     for n in ns:
         for gamma in gammas:
             for solver in solvers:
@@ -297,14 +302,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     limit,
                     not args.no_timing,
                 )
-                rows.append((n, gamma, dist.spec(), args.trials, solver, rec, cert, ms))
-
-    rows.sort(key=lambda r: (r[0], r[1], r[4]))
-    lines = ["n,gamma,dist,trials,solver,recovery_rate,certified_rate,mean_ms"]
-    for n, gamma, dspec, trials, solver, rec, cert, ms in rows:
-        lines.append(
-            f"{n},{gamma!r},{dspec},{trials},{solver},{rec:.6f},{cert:.6f},{ms:.3f}"
-        )
+                lines.append(
+                    f"{n},{gamma!r},{dist.spec()},{args.trials},{solver},"
+                    f"{rec:.6f},{cert:.6f},{ms:.3f}"
+                )
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -49,14 +49,15 @@ EXHAUSTIVE_BITS = 20
 class MergeStep:
     """One greedy iteration: which components were joined and how.
 
+    ``chosen_i`` and ``chosen_j`` are positions among the live components of
+    the step's support component, in lowest-vertex order; the merged one
+    keeps position min(i, j), so the trace determines every size.
     ``bundles`` is the larger of the chosen component's nonempty parallel and
     crossing bundle counts; the refined greedy condition at gamma holds for
     the iteration exactly when it is below gamma.  The run report does not
     write it.
     """
 
-    iteration: int
-    component_sizes: tuple[int, ...]
     chosen_i: int
     chosen_j: int
     chosen_c: int
@@ -91,7 +92,7 @@ def _block_weight(w: np.ndarray, a: list[int], b: list[int]) -> float:
     return float(w[np.ix_(a, b)].sum())
 
 
-def _greedy_engine(w: np.ndarray, iteration0: int) -> tuple[np.ndarray, list[MergeStep]]:
+def _greedy_engine(w: np.ndarray) -> tuple[np.ndarray, list[MergeStep]]:
     """Run the component-growing loop on a connected weight matrix.
 
     Each round joins the smallest component i (ties to the lowest vertex)
@@ -129,7 +130,7 @@ def _greedy_engine(w: np.ndarray, iteration0: int) -> tuple[np.ndarray, list[Mer
         return _block_weight(w, li, rj) + _block_weight(w, ri, lj)
 
     steps: list[MergeStep] = []
-    for it in range(iteration0, iteration0 + n - 1):
+    for _ in range(n - 1):
         i = int(np.argmin(np.where(live, size, n + 1)))
         e = np.stack([ll[i] + rr[i], lr[i] + lr[:, i]], axis=1)  # e[j, c]
         e[~live] = -1.0
@@ -139,8 +140,6 @@ def _greedy_engine(w: np.ndarray, iteration0: int) -> tuple[np.ndarray, list[Mer
         position = np.cumsum(live) - 1
         steps.append(
             MergeStep(
-                iteration=it,
-                component_sizes=tuple(size[live].tolist()),
                 chosen_i=int(position[i]),
                 chosen_j=int(position[j]),
                 chosen_c=c,
@@ -176,12 +175,15 @@ def find_max_cut_greedy(g: WeightedGraph) -> tuple[Cut, list[MergeStep]]:
 
     Exact whenever the instance is gamma-stable for some gamma > sqrt(max
     degree * n); otherwise still returns its best cut.  Disconnected inputs
-    are solved per support component and recombined.
+    are solved per support component and recombined.  The trace holds
+    len(comp) - 1 steps per support component, in lowest-vertex order; a
+    replay from sizes = [1] * len(comp) by `sizes[min(i, j)] +=
+    sizes.pop(max(i, j))` rebuilds the live component sizes at every step.
     """
     signs = np.ones(g.n, dtype=np.int8)
     steps: list[MergeStep] = []
     for comp in _support_components(g):
-        s, st = _greedy_engine(g.weights[np.ix_(comp, comp)], len(steps))
+        s, st = _greedy_engine(g.weights[np.ix_(comp, comp)])
         signs[comp] = s
         steps.extend(st)
     return Cut(signs), steps

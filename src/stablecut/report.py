@@ -7,6 +7,11 @@ infinity is encoded, as "inf" or "-inf".  `solve` and `spectrum` attach the
 exact stability profile by one rule, n <= min(AUTO_ORACLE_ATTACH, limit).
 Numeric fields carry their tolerance context in the `tolerances` block; a
 skipped oracle section is explicit.
+
+The run report is O(n) in size, and no field repeats another: a greedy
+step's index is its place in the trace and its component sizes are rebuilt
+from the trace (see combinatorial.find_max_cut_greedy), the dual's
+convergence is `certified`, and its gap tolerance is `parameters.tol`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from . import combinatorial, dualsdp, oracle, spectral
 from .errors import ValidationError
 from .graph import Cut, WeightedGraph, cut_value
 
-SCHEMA_ID = "stablecut-run-report/2"
+SCHEMA_ID = "stablecut-run-report/3"
 SOLVERS = ("greedy", "contract", "spectral", "dual", "oracle")
 
 # Solve and spectrum attach the exact oracle automatically up to this size.
@@ -70,17 +75,6 @@ def _verdict_json(v: spectral.ConditionVerdict) -> dict:
     }
 
 
-def _merge_step_json(s: combinatorial.MergeStep) -> dict:
-    return {
-        "iteration": s.iteration,
-        "component_sizes": list(s.component_sizes),
-        "chosen_i": s.chosen_i,
-        "chosen_j": s.chosen_j,
-        "chosen_c": s.chosen_c,
-        "edge_weight_added": s.edge_weight_added,
-    }
-
-
 class _Timer:
     def __init__(self, enabled: bool):
         self.enabled = enabled
@@ -100,7 +94,8 @@ def _entry(g: WeightedGraph, cut: Cut, t: _Timer, **fields) -> dict:
 def solver_entry_greedy(g: WeightedGraph, gamma_hint: float | None, timing: bool) -> dict:
     t = _Timer(timing)
     cut, trace = combinatorial.find_max_cut_greedy(g)
-    entry = _entry(g, cut, t, trace=[_merge_step_json(s) for s in trace])
+    fields = ("chosen_i", "chosen_j", "chosen_c", "edge_weight_added")
+    entry = _entry(g, cut, t, trace=[{f: getattr(s, f) for f in fields} for s in trace])
     if gamma_hint is not None:
         flags = [s.bundles < gamma_hint for s in trace]
         entry["applicability"] = {"gamma": gamma_hint, "per_iteration": flags, "overall": all(flags)}
@@ -141,7 +136,6 @@ def solver_entry_dual(
         gap=sol.gap,
         lambda_min=sol.lambda_min,
         iterations=sol.iterations,
-        converged=sol.converged,
     )
 
 
@@ -268,8 +262,6 @@ def build_run_report(
         "tolerances": {
             "tie_rel_tol": oracle.TIE_REL_TOL,
             "psd_rel_tol": spectral.PSD_REL_TOL,
-            "kernel_residual_tol": 1e-10,
-            "duality_gap_tol": tol,
             "note": "wall_ms is 0.0 when timing is disabled for reproducibility",
         },
         "solvers": entries,

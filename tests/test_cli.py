@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -9,8 +10,9 @@ import pytest
 
 from stablecut import (
     WeightDistribution, WeightedGraph, combinatorial, dualsdp, dumps_graph, gen_planted,
-    generators, graph, load_graph, oracle, stability_report,
+    generators, graph, load_graph, oracle, report, stability_report,
 )
+from stablecut import cli
 from stablecut.cli import main
 
 from conftest import complete_bipartite
@@ -223,15 +225,48 @@ _BENCH = ["bench", "--n", "4", "--gamma", "2", "--trials", "1"]
             "--gamma: could not convert string to float: 'x'",
         ),
         (["bench", "--n", "4,", "--gamma", "2"], "--n: invalid literal for int() with base 10: ''"),
+        (["gen", "planted", "--n", "4", "--gamma", "nan"], "--gamma must be a finite number, got nan"),
+        (["gen", "planted", "--n", "4", "--gamma", "inf"], "--gamma must be a finite number, got inf"),
+        (["gen", "scale", "--gamma", "nan", "--input"], "--gamma must be a finite number, got nan"),
+        (["gen", "scale", "--gamma", "inf", "--input"], "--gamma must be a finite number, got inf"),
+        (["gen", "amplify", "--tau", "nan", "--input"], "--tau must be a finite number, got nan"),
+        (["gen", "amplify", "--tau", "inf", "--input"], "--tau must be a finite number, got inf"),
     ],
 )
 def test_degenerate_options_exit_2(tmp_path, capsys, argv):
     argv, message = argv
-    if argv[0] == "solve":
+    if argv[0] == "solve" or argv[-1] == "--input":
         argv = argv + [_write_triangle(tmp_path)]
+    if argv[0] == "gen":
+        argv = argv + ["-o", str(tmp_path / "out")]
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (
+            ["--n", "12,24", "--gamma", "1.0", "--trials", "8", "--solver", "dual,oracle"],
+            4,
+            f"--n 24 exceeds the oracle's enumeration limit {oracle.DEFAULT_ENUM_LIMIT}",
+        ),
+        (["--n", "4", "--gamma", "2,inf"], 2, "--gamma must be a finite number, got inf"),
+        (["--n", "4", "--gamma", "nan,2"], 2, "--gamma must be a finite number, got nan"),
+        (["--n", "4", "--gamma", "2,-inf"], 2, "--gamma must be a finite number, got -inf"),
+    ],
+)
+def test_bench_fails_before_its_first_cell(tmp_path, capsys, monkeypatch, argv, code, message):
+    def no_cell(*args):
+        raise AssertionError("ran a bench cell")
+
+    monkeypatch.setattr(cli, "_bench_cell", no_cell)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", *argv, "-o", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 _OVERFLOWING = {
@@ -371,7 +406,7 @@ def test_solve_runs_greedy_once_per_component(tmp_path, capsys, monkeypatch):
     runs = []
     engine = combinatorial._greedy_engine
     monkeypatch.setattr(
-        combinatorial, "_greedy_engine", lambda w, it: runs.append(len(w)) or engine(w, it)
+        combinatorial, "_greedy_engine", lambda w: runs.append(len(w)) or engine(w)
     )
     assert main(
         ["solve", "--solver", "all", "--gamma", "2", "--max-iter", "50", "--no-timing", str(path)]
@@ -380,6 +415,48 @@ def test_solve_runs_greedy_once_per_component(tmp_path, capsys, monkeypatch):
     # the applicability flags are read off the same run's steps
     assert runs == [3, 4]
     assert len(doc["solvers"]["greedy"]["applicability"]["per_iteration"]) == 5
+
+
+def _leaves(doc) -> tuple[int, int]:
+    """The number of scalar leaves in a JSON document and its longest list."""
+    if isinstance(doc, dict):
+        parts = [_leaves(v) for v in doc.values()]
+    elif isinstance(doc, list):
+        parts = [_leaves(v) for v in doc] + [(0, len(doc))]
+    else:
+        return 1, 0
+    return sum(p[0] for p in parts), max((p[1] for p in parts), default=0)
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_report_is_linear_in_n(tmp_path, capsys, n):
+    gen = ["gen", "planted", "--n", str(n), "--gamma", "2", "--seed", "1", "-o", str(tmp_path)]
+    assert main(gen + ["--dist", "uniform:0.5:1.5"]) == 0
+    path = capsys.readouterr().out.strip()
+    assert main(["solve", "--solver", "all", "--gamma", "2", "--no-timing", path]) == 0
+    leaves, longest = _leaves(json.loads(capsys.readouterr().out))
+    assert leaves <= 12 * n + 100 and longest <= n
+
+
+def test_schema_is_strict(tmp_path, capsys):
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+    path = tmp_path / "k44.graph"
+    path.write_text(dumps_graph(complete_bipartite(4)))
+    assert main(["solve", "--solver", "all", "--gamma", "2", "--no-timing", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    _validate(doc)
+    assert sorted(doc["solvers"]) == sorted(report.SOLVERS)
+    assert "skipped" not in doc["solvers"]["contract"]
+
+    def rejected(mutate) -> bool:
+        bad = copy.deepcopy(doc)
+        mutate(bad["solvers"])
+        return not jsonschema.Draft202012Validator(SCHEMA).is_valid(bad)
+
+    assert rejected(lambda s: s["greedy"]["trace"][0].update(component_sizes=[1] * 8))
+    assert rejected(lambda s: s["dual"].update(trace=[s["dual"]["trace"]]))
+    for name in report.SOLVERS:
+        assert rejected(lambda s: s[name].update(unknown=0))
 
 
 def test_verify_report_schema(tmp_path, capsys):

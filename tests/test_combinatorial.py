@@ -108,12 +108,31 @@ def _run_greedy(
     return Cut(signs), steps, flags
 
 
+def replayed_sizes(g: WeightedGraph, steps) -> list[tuple[int, ...]]:
+    """The live component sizes before each step, rebuilt from the positions:
+    each support component starts as singletons, and a step folds position
+    max(i, j) into min(i, j)."""
+    out = []
+    replay = iter(steps)
+    for comp in _support_components(g):
+        sizes = [1] * len(comp)
+        for s in itertools.islice(replay, len(comp) - 1):
+            out.append(tuple(sizes))
+            sizes[min(s.chosen_i, s.chosen_j)] += sizes.pop(max(s.chosen_i, s.chosen_j))
+    return out
+
+
 def assert_matches_reference(g: WeightedGraph, gammas) -> None:
     cut, steps = find_max_cut_greedy(g)
     ref_cut, ref_steps, _ = _run_greedy(g, None)
     assert cut == ref_cut
-    # every field, edge_weight_added bit for bit
-    assert [MergeStep(*(getattr(s, f) for f in MergeStep._fields)) for s in steps] == ref_steps
+    # every field, edge_weight_added bit for bit; the iteration is the
+    # step's index and the sizes are replayed from the positions
+    sizes = replayed_sizes(g, steps)
+    assert [
+        MergeStep(k, sizes[k], s.chosen_i, s.chosen_j, s.chosen_c, s.edge_weight_added)
+        for k, s in enumerate(steps)
+    ] == ref_steps
     for gamma in gammas:
         _, _, ref_flags = _run_greedy(g, gamma)
         assert [s.bundles < gamma for s in steps] == ref_flags
@@ -183,7 +202,7 @@ def test_greedy_triangle_matches_brute_force(triangle):
     assert cut == bf
     # deterministic run: two merges, heaviest bundle each time
     assert [s.edge_weight_added for s in trace] == [2.0, 3.0]
-    assert trace[0].component_sizes == (1, 1, 1)
+    assert replayed_sizes(triangle, trace) == [(1, 1, 1), (2, 1)]
 
 
 def test_greedy_disconnected_recombines():
