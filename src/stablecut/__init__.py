@@ -30,9 +30,7 @@ from .generators import (
 from .graph import (
     Cut,
     DegreeStats,
-    Perturbation,
     WeightedGraph,
-    apply_perturbation,
     cut_value,
     dumps_graph,
     load_graph,
@@ -45,7 +43,6 @@ from .oracle import (
     StabilityReport,
     brute_force_max_cut,
     local_stability_gamma,
-    sample_perturbation_attack,
     stability_report,
 )
 from .spectral import (

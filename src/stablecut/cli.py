@@ -15,8 +15,10 @@ than half that many vertices, and bench --solver oracle with an --n above
 the enumeration cap.  Exit 2 also covers a graph file that cannot be read
 or is not ASCII, weights summing above graph.MAX_WEIGHT_SUM, --max-iter
 below 1 where the dual runs, a --tol (solve, bench) that is not a finite
-number >= 0, a --gamma or --tau that is not finite, a bench --n or --gamma
-list token that is not a number, and bench --trials below 1.
+number >= 0, a --gamma or --tau that is not finite, a negative --seed
+(gen planted, gen gnp, gen scale, bench), a bench --n or --gamma list token
+that is not a number, a bench --n that is not an even number >= 2, and
+bench --trials below 1.
 """
 
 from __future__ import annotations
@@ -123,8 +125,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _check_finite("--gamma", args.gamma)
         base = _load(args.input)
         limit = _oracle_limit()
-        scaled = generators.stabilize_by_scaling(base, args.gamma, seed=args.seed, limit=limit)
-        verified = oracle.stability_report(scaled, limit)
+        scaled, verified = generators.stabilize_by_scaling(base, args.gamma, args.seed, limit)
         src = os.path.splitext(os.path.basename(args.input))[0]
         stem = f"{src}_scaled_g{args.gamma!r}"
         sidecar = {
@@ -284,6 +285,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ValidationError(f"unknown bench solver {s!r}")
     if "oracle" in solvers and ns[-1] > limit:
         raise SizeLimitError(f"--n {ns[-1]} exceeds the oracle's enumeration limit {limit}")
+    for n in ns:
+        if n < 2 or n % 2:
+            raise ValidationError(f"--n must be an even number >= 2, got {n}")
 
     # the loops run in (n, gamma, solver) order, the CSV's row order
     lines = ["n,gamma,dist,trials,solver,recovery_rate,certified_rate,mean_ms"]
@@ -396,6 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -219,20 +219,19 @@ class HighDegreeResult:
     heuristic: bool
 
 
-def high_degree_solve(g: WeightedGraph, gamma: float | None = None) -> HighDegreeResult:
+def high_degree_solve(g: WeightedGraph) -> HighDegreeResult:
     """Contract overlap components, solve the quotient, lift the cut back.
 
-    gamma defaults to 2n/delta.  Exact on simple graphs whose stability
-    reaches 2n/delta; quotients small enough are solved exhaustively, larger
-    ones by the greedy solver.  A component count >= gamma cannot happen
-    under that hypothesis, so it only flags the run as heuristic.
+    gamma is 2n/delta.  Exact on simple graphs whose stability reaches
+    2n/delta; quotients small enough are solved exhaustively, larger ones by
+    the greedy solver.  A component count >= gamma cannot happen under that
+    hypothesis, so it only flags the run as heuristic.
     """
     if not g.is_simple():
         raise ValidationError("high-degree solver requires a simple (unit-weight) graph")
     n = g.n
     stats = weighted_degrees(g)
-    if gamma is None:
-        gamma = 2.0 * n / stats.min_simple if stats.min_simple > 0 else 2.0 * n
+    gamma = 2.0 * n / stats.min_simple if stats.min_simple > 0 else 2.0 * n
     h = build_conflict_graph(g, gamma)
     comps = _support_components(h)
     c = len(comps)

@@ -166,9 +166,9 @@ def stabilize_by_scaling(
     gamma_target: float,
     seed: int = 0,
     limit: int = oracle.DEFAULT_ENUM_LIMIT,
-) -> WeightedGraph:
+) -> tuple[WeightedGraph, oracle.StabilityReport]:
     """Rescale the maximal-cut edges so the stability factor lands on
-    gamma_target.
+    gamma_target; return the rescaled graph and its exact stability profile.
 
     Computes gamma' exactly, multiplies the cut edges by gamma_target/gamma'
     (a no-op when gamma' is infinite), and verifies the result.  A non-unique
@@ -190,7 +190,7 @@ def stabilize_by_scaling(
         rep = oracle.stability_report(work, limit)
         attempts += 1
     if math.isinf(rep.gamma_star):
-        return work
+        return work, rep
     factor = gamma_target / rep.gamma_star
     s = rep.max_cut.signs
     crossing = (s[:, None] != s[None, :]) & work.support
@@ -200,7 +200,7 @@ def stabilize_by_scaling(
         raise AssertionError(
             f"scaling failed to reach gamma_target: {check.gamma_star} < {gamma_target}"
         )
-    return scaled
+    return scaled, check
 
 
 def cross_product_amplify(g: WeightedGraph, tau: float = 1.0) -> WeightedGraph:

@@ -1,4 +1,4 @@
-"""Immutable weighted-graph model: cuts, degrees, perturbations, file format.
+"""Immutable weighted-graph model: cuts, degrees, file format.
 
 A Max-Cut instance is a symmetric nonnegative weight matrix with zero
 diagonal.  All operations here are pure functions over immutable values, so
@@ -20,11 +20,9 @@ __all__ = [
     "MAX_WEIGHT_SUM",
     "WeightedGraph",
     "Cut",
-    "Perturbation",
     "DegreeStats",
     "cut_value",
     "weighted_degrees",
-    "apply_perturbation",
     "load_graph",
     "save_graph",
     "loads_graph",
@@ -153,24 +151,6 @@ class Cut:
 
 
 @dataclass(frozen=True)
-class Perturbation:
-    """Symmetric multipliers in [1, gamma] applied to support edges."""
-
-    factors: np.ndarray
-    gamma: float
-
-    def __post_init__(self) -> None:
-        f = np.asarray(self.factors, dtype=np.float64)
-        if self.gamma < 1:
-            raise ValidationError(f"gamma must be >= 1, got {self.gamma}")
-        if f.ndim != 2 or f.shape[0] != f.shape[1]:
-            raise ValidationError("factor matrix must be square")
-        if not np.array_equal(f, f.T):
-            raise ValidationError("factor matrix must be symmetric")
-        object.__setattr__(self, "factors", _frozen(f))
-
-
-@dataclass(frozen=True)
 class DegreeStats:
     """Weighted degrees plus support-degree extremes."""
 
@@ -212,23 +192,6 @@ def weighted_degrees(g: WeightedGraph) -> DegreeStats:
         max_simple=int(simple.max()),
         min_simple=int(simple.min()),
     )
-
-
-def apply_perturbation(g: WeightedGraph, p: Perturbation) -> WeightedGraph:
-    """Scale each support edge by its factor; factors off support are ignored."""
-    if p.factors.shape[0] != g.n:
-        raise DimensionError("perturbation size does not match graph")
-    on = g.support
-    f = p.factors[on]
-    tol = 1e-12 * max(1.0, p.gamma)
-    if f.size and (f.min() < 1.0 - tol or f.max() > p.gamma + tol):
-        raise ValidationError(
-            f"factors on support must lie in [1, {p.gamma}], "
-            f"got range [{f.min()}, {f.max()}]"
-        )
-    new = g.weights.copy()
-    new[on] = new[on] * np.clip(p.factors[on], 1.0, p.gamma)
-    return WeightedGraph(new)
 
 
 # --- graph file format -------------------------------------------------

@@ -1,9 +1,9 @@
 """Exponential-time ground truth on small instances.
 
 Exact Max-Cut by enumeration, the stability factor gamma*, local stability,
-edge distinctness alpha*, k-distinctness k*, the Cheeger constant, and a
-perturbation attack used to validate gamma* from both sides.  Everything
-here is the oracle the polynomial-time solvers are tested against.
+edge distinctness alpha*, k-distinctness k* and the Cheeger constant.
+Everything here is the oracle the polynomial-time solvers are tested
+against.
 
 Partitions are sign vectors t with vertex 0 pinned to +1, numbered by the
 bitmask over vertices 1..n-1 (bit v-1 set means t_v = -1).  One kernel
@@ -26,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SizeLimitError, ValidationError
-from .graph import Cut, Perturbation, WeightedGraph, apply_perturbation, _side_weights
+from .graph import Cut, WeightedGraph, _side_weights
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT", "MAX_ENUM_LIMIT", "TIE_REL_TOL", "StabilityReport",
     "brute_force_max_cut", "stability_report", "local_stability_gamma",
-    "sample_perturbation_attack",
 ]
 
 DEFAULT_ENUM_LIMIT = 22
@@ -272,50 +271,3 @@ def stability_report(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> Stabi
         alpha_star=alpha_star, k_star=k_star, ties=ties, cheeger=cheeger,
         worst_cut=None if worst is None else _cut_for_mask(n, worst),
     )
-
-
-def sample_perturbation_attack(
-    g: WeightedGraph,
-    gamma: float,
-    trials: int = 16,
-    seed: int = 0,
-    limit: int = DEFAULT_ENUM_LIMIT,
-) -> bool:
-    """True iff some gamma-perturbation dethrones the maximal cut.
-
-    Tries the deterministic worst case (multiply the cut edges private to
-    the worst alternative by gamma) plus `trials` random factor matrices.
-    Succeeds exactly when gamma > gamma* up to tie tolerance; a non-unique
-    base maximum counts as dethroned already.
-    """
-    if gamma < 1:
-        raise ValidationError(f"gamma must be >= 1, got {gamma}")
-    report = stability_report(g, limit)
-    s0 = report.max_cut
-    if not report.unique:
-        return True
-
-    def dethroned(perturbed: WeightedGraph) -> bool:
-        cut, _, unique = brute_force_max_cut(perturbed, limit)
-        return cut != s0 or not unique
-
-    if report.worst_cut is not None and math.isfinite(report.gamma_star):
-        t = report.worst_cut.signs
-        s = s0.signs
-        cut_t = t[:, None] != t[None, :]
-        cut_s = s[:, None] != s[None, :]
-        factors = np.where(cut_t & ~cut_s & g.support, gamma, 1.0)
-        attacked = apply_perturbation(g, Perturbation(factors, gamma))
-        if dethroned(attacked):
-            return True
-
-    rng = np.random.Generator(np.random.Philox(seed))
-    n = g.n
-    for _ in range(trials):
-        up = np.triu(1.0 + (gamma - 1.0) * rng.random((n, n)), 1)
-        f = up + up.T
-        np.fill_diagonal(f, 1.0)
-        attacked = apply_perturbation(g, Perturbation(f, gamma))
-        if dethroned(attacked):
-            return True
-    return False

@@ -71,6 +71,19 @@ def test_gen_scale_verifies_target(tmp_path, capsys):
     assert stability_report(scaled).gamma_star >= 4.0 - 1e-9
 
 
+def test_gen_scale_sweeps_twice(tmp_path, capsys, monkeypatch):
+    """One sweep profiles the input; the one that checks the scaled graph
+    also gives the sidecar its verified_gamma_star."""
+    sweeps = []
+    sweep = oracle.stability_report
+    monkeypatch.setattr(oracle, "stability_report", lambda g, *a: sweeps.append(g) or sweep(g, *a))
+    tri = _write_triangle(tmp_path)
+    assert main(["gen", "scale", "--input", tri, "--gamma", "4", "-o", str(tmp_path)]) == 0
+    sidecar = json.loads(open(capsys.readouterr().out.strip().replace(".graph", ".json")).read())
+    assert len(sweeps) == 2
+    assert sidecar["verified_gamma_star"] == sweep(sweeps[1]).gamma_star
+
+
 def test_gen_amplify(tmp_path, capsys):
     tri = _write_triangle(tmp_path)
     rc = main(["gen", "amplify", "--input", tri, "--tau", "2", "-o", str(tmp_path)])
@@ -231,6 +244,10 @@ _BENCH = ["bench", "--n", "4", "--gamma", "2", "--trials", "1"]
         (["gen", "scale", "--gamma", "inf", "--input"], "--gamma must be a finite number, got inf"),
         (["gen", "amplify", "--tau", "nan", "--input"], "--tau must be a finite number, got nan"),
         (["gen", "amplify", "--tau", "inf", "--input"], "--tau must be a finite number, got inf"),
+        (["gen", "planted", "--n", "4", "--gamma", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["gen", "gnp", "--n", "4", "--p", "0.5", "--seed", "-3"], "--seed must be >= 0, got -3"),
+        (["gen", "scale", "--gamma", "2", "--seed", "-1", "--input"], "--seed must be >= 0, got -1"),
+        (_BENCH + ["--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_degenerate_options_exit_2(tmp_path, capsys, argv):
@@ -256,6 +273,10 @@ def test_degenerate_options_exit_2(tmp_path, capsys, argv):
         (["--n", "4", "--gamma", "2,inf"], 2, "--gamma must be a finite number, got inf"),
         (["--n", "4", "--gamma", "nan,2"], 2, "--gamma must be a finite number, got nan"),
         (["--n", "4", "--gamma", "2,-inf"], 2, "--gamma must be a finite number, got -inf"),
+        (["--n", "4,7", "--gamma", "2"], 2, "--n must be an even number >= 2, got 7"),
+        (["--n", "-2", "--gamma", "2"], 2, "--n must be an even number >= 2, got -2"),
+        (["--n", "0,4", "--gamma", "2"], 2, "--n must be an even number >= 2, got 0"),
+        (["--n", "4", "--gamma", "2", "--seed", "-1"], 2, "--seed must be >= 0, got -1"),
     ],
 )
 def test_bench_fails_before_its_first_cell(tmp_path, capsys, monkeypatch, argv, code, message):

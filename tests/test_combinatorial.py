@@ -305,7 +305,7 @@ def test_greedy_guarantee_on_scaled_instances():
         g = random_weighted(8, seed, p=0.6)
         rep_target = np.sqrt(weighted_degrees(g).max_simple * g.n)
         try:
-            scaled = stabilize_by_scaling(g, float(np.ceil(rep_target)) + 1.0, seed=seed)
+            scaled, _ = stabilize_by_scaling(g, float(np.ceil(rep_target)) + 1.0, seed=seed)
         except ValidationError:
             continue
         cut, _ = find_max_cut_greedy(scaled)
@@ -319,7 +319,7 @@ def test_greedy_local_optimality_under_guarantee():
     for seed in range(5):
         g = random_weighted(7, seed, p=0.7)
         target = float(np.ceil(np.sqrt(weighted_degrees(g).max_simple * g.n))) + 1.0
-        scaled = stabilize_by_scaling(g, target, seed=seed)
+        scaled, _ = stabilize_by_scaling(g, target, seed=seed)
         cut, _ = find_max_cut_greedy(scaled)
         base = cut_value(scaled, cut)
         for v in range(g.n):

@@ -126,29 +126,31 @@ def test_gnp_edge_count_matches_binomial_mean():
 
 
 def test_scaling_triangle(triangle):
-    scaled = stabilize_by_scaling(triangle, 4.0)
+    scaled, profile = stabilize_by_scaling(triangle, 4.0)
     assert scaled.weights[0, 1] == pytest.approx(4.0)
     assert scaled.weights[1, 2] == pytest.approx(6.0)
     assert scaled.weights[0, 2] == pytest.approx(1.0)
-    assert stability_report(scaled).gamma_star >= 4.0 - 1e-9
+    assert profile == stability_report(scaled)
+    assert profile.gamma_star >= 4.0 - 1e-9
 
 
 def test_scaling_infinite_is_noop(c4):
-    scaled = stabilize_by_scaling(c4, 10.0)
+    scaled, profile = stabilize_by_scaling(c4, 10.0)
     assert np.array_equal(scaled.weights, c4.weights)
+    assert profile == stability_report(c4)
 
 
 def test_scaling_breaks_ties_by_jitter(unit_triangle):
-    scaled = stabilize_by_scaling(unit_triangle, 3.0)
-    rep = stability_report(scaled)
+    scaled, rep = stabilize_by_scaling(unit_triangle, 3.0)
+    assert rep == stability_report(scaled)
     assert rep.unique
     assert rep.gamma_star == pytest.approx(3.0, rel=1e-6)
 
 
 def test_scaling_idempotent():
     g = random_weighted(8, 21)
-    once = stabilize_by_scaling(g, 5.0)
-    twice = stabilize_by_scaling(once, 5.0)
+    once, _ = stabilize_by_scaling(g, 5.0)
+    twice, _ = stabilize_by_scaling(once, 5.0)
     assert np.allclose(once.weights, twice.weights, rtol=1e-9)
 
 

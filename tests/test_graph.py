@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from stablecut import (
     Cut,
     DimensionError,
-    Perturbation,
     SizeLimitError,
     ValidationError,
     WeightedGraph,
-    apply_perturbation,
     cut_value,
     dumps_graph,
     loads_graph,
@@ -80,24 +78,16 @@ def test_weighted_degrees(k2, triangle, c4):
 
 
 def test_apply_perturbation(k2, triangle):
-    same = apply_perturbation(k2, Perturbation(np.full((2, 2), 1.0), 1.0))
-    assert np.array_equal(same.weights, k2.weights)
-    doubled = apply_perturbation(k2, Perturbation(np.full((2, 2), 2.0), 2.0))
+    doubled = WeightedGraph(k2.weights * 2.0)
     assert doubled.weights[0, 1] == 2.0
+    assert cut_value(doubled, Cut(np.array([1, -1]))) == 2.0
     f = np.ones((3, 3))
     f[0, 2] = f[2, 0] = 2.0
-    perturbed = apply_perturbation(triangle, Perturbation(f, 2.0))
+    perturbed = WeightedGraph(triangle.weights * f)
     assert perturbed.weights[0, 2] == 2.0
     # both {1} and {2} now reach value 5
     assert cut_value(perturbed, Cut(np.array([-1, 1, -1]))) == 5.0
     assert cut_value(perturbed, Cut(np.array([-1, -1, 1]))) == 5.0
-
-
-def test_perturbation_factor_out_of_range(k2):
-    with pytest.raises(ValidationError):
-        apply_perturbation(k2, Perturbation(np.full((2, 2), 3.0), 2.0))
-    with pytest.raises(ValidationError):
-        apply_perturbation(k2, Perturbation(np.full((2, 2), 0.5), 2.0))
 
 
 @st.composite
@@ -136,8 +126,7 @@ def test_perturbation_monotone(gc, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     up = np.triu(1.0 + rng.random((g.n, g.n)), 1)
     f = up + up.T
-    np.fill_diagonal(f, 1.0)
-    perturbed = apply_perturbation(g, Perturbation(f, 2.0))
+    perturbed = WeightedGraph(g.weights * f)
     assert cut_value(perturbed, c) >= cut_value(g, c) - 1e-12
 
 

@@ -16,7 +16,6 @@ from stablecut import (
     cut_value,
     local_stability_gamma,
     oracle,
-    sample_perturbation_attack,
     stability_report,
 )
 
@@ -114,14 +113,44 @@ def test_cheeger_examples(c4, k2):
     assert stability_report(k4).cheeger == 2.0
 
 
-def test_attack_brackets_gamma_star(triangle, c4):
-    assert not sample_perturbation_attack(triangle, 1.9, trials=4)
-    assert sample_perturbation_attack(triangle, 2.1, trials=4)
-    assert not sample_perturbation_attack(c4, 100.0, trials=4)
+def dethroned(g: WeightedGraph, gamma: float) -> bool:
+    """True when some gamma-perturbation of g leaves its maximum cut S not
+    the unique maximum.
+
+    For factors in [1, gamma], cut_f(S) - cut_f(T) >= w(S minus T) -
+    gamma * w(T minus S), where S minus T are the edges S cuts and T does
+    not.  Equality holds at W_gamma, which multiplies every edge S leaves
+    uncut by gamma, so W_gamma is the worst case for every T at once.
+    """
+    cut, _, unique = brute_force_max_cut(g)
+    if not unique:
+        return True
+    s = cut.signs
+    w_gamma = np.where(s[:, None] == s[None, :], gamma * g.weights, g.weights)
+    top, _, unique = brute_force_max_cut(WeightedGraph(w_gamma))
+    return top != cut or not unique
+
+
+def test_attack_brackets_gamma_star(triangle, c4, unit_triangle):
+    assert not dethroned(triangle, 1.9)
+    assert dethroned(triangle, 2.1)
+    assert not dethroned(c4, 100.0)
+    assert dethroned(unit_triangle, 1.0)
 
 
 def test_attack_identity_never_succeeds(triangle):
-    assert not sample_perturbation_attack(triangle, 1.0, trials=4)
+    assert not dethroned(triangle, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=4, max_value=9), st.integers(min_value=0, max_value=5_000))
+def test_dethroned_exactly_above_gamma_star(n, seed):
+    g = random_weighted(n, seed)
+    rep = stability_report(g)
+    if not (rep.unique and math.isfinite(rep.gamma_star)):
+        return
+    assert not dethroned(g, rep.gamma_star * (1 - 1e-3))
+    assert dethroned(g, rep.gamma_star * (1 + 1e-3))
 
 
 @settings(max_examples=40, deadline=None)
