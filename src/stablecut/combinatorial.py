@@ -110,18 +110,15 @@ def _greedy_engine(w: np.ndarray) -> tuple[np.ndarray, list[MergeStep]]:
     `_block_weight` in tie-break order: two summation orders of at most n^2
     nonnegative terms agree that closely, so the block-sum maximum is always
     in that window, and the choice and `edge_weight_added` are exactly those
-    of block sums.  Integer weights summing below 2^53 add exactly in any
-    order, so there the window holds only exact ties.  Nonempty-bundle counts
-    are exact either way: a sum of nonnegative weights is positive exactly
-    when one of its terms is.
+    of block sums.  Nonempty-bundle counts are exact too: a sum of
+    nonnegative weights is positive exactly when one of its terms is.
     """
     n = w.shape[0]
     ll, lr, rr = w.copy(), np.zeros((n, n)), np.zeros((n, n))
     sides = [([v], []) for v in range(n)]
     size = np.ones(n, dtype=np.int64)
     live = np.ones(n, dtype=bool)
-    exact = np.array_equal(w, np.round(w)) and w.sum() < 2.0**53
-    window = 1.0 if exact else 1.0 - 4.0 * n * n * np.finfo(np.float64).eps
+    window = 1.0 - 4.0 * n * n * np.finfo(np.float64).eps
 
     def bundle(i: int, j: int, c: int) -> float:
         (li, ri), (lj, rj) = sides[i], sides[j]

@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import Cut, WeightedGraph, _cut_quadratic, _side_weights
-from .spectral import _sign_cut, bottom_spectrum, build_diagonal_from_cut
+from .spectral import (
+    SpectralCertificate, _shifted, _sign_cut, build_certificate, eigen_smallest_two,
+)
 
 __all__ = [
     "DualSolution",
@@ -37,7 +39,8 @@ class DualSolution:
 
     gap = trace - lower_bound, where lower_bound is the value of best_cut;
     it is nonnegative up to roundoff, and converged = True (a gap within
-    tolerance) proves best_cut maximal.
+    tolerance) proves best_cut maximal.  certificate is best_cut's, as
+    spectral.build_certificate computes it.
     """
 
     d: np.ndarray
@@ -48,6 +51,7 @@ class DualSolution:
     iterations: int
     converged: bool
     best_cut: Cut
+    certificate: SpectralCertificate
 
 
 def polish_cut(g: WeightedGraph, c: Cut) -> Cut:
@@ -77,10 +81,11 @@ def solve_min_trace(
     Starts from the diagonally dominant d = w(i).  Every iterate is restored
     to feasibility by adding (-lambda_min)+ to all entries, and its
     sign-rounded bottom eigenvector is polished and scored as a cut to
-    tighten the lower bound; when the kernel diagonal of a scored cut is
-    itself feasible the gap closes exactly.  The answer is best_cut, the
-    best cut scored, and converged = True certifies it maximal.  Exhausting
-    max_iter returns the best iterate with converged = False.
+    tighten the lower bound (a rounding seen before cannot raise it, so it
+    is skipped); when the kernel diagonal of a scored cut is itself feasible
+    the gap closes exactly.  The answer is best_cut, the best cut scored,
+    with its certificate, and converged = True certifies it maximal.
+    Exhausting max_iter returns the best iterate with converged = False.
     """
     if g.n < 1:
         raise ValidationError("graph must be nonempty")
@@ -96,12 +101,16 @@ def solve_min_trace(
     best_trace = float(d.sum())
     best_lambda = 0.0
     lower = -math.inf
-    best_cut = None  # iteration 1 scores a cut, and any value beats -inf
+    best_cut = certificate = None  # iteration 1 scores a cut, and any value beats -inf
     converged = False
     iterations = 0
+    scored: set[Cut] = set()
 
     def consider_cut(rounded: Cut) -> None:
-        nonlocal lower, best_cut, best_d, best_trace, best_lambda
+        nonlocal lower, best_cut, certificate, best_d, best_trace, best_lambda
+        if rounded in scored:
+            return
+        scored.add(rounded)
         cut = polish_cut(g, rounded)
         val = _cut_quadratic(g, cut)
         if val <= lower:
@@ -110,8 +119,8 @@ def solve_min_trace(
         best_cut = cut
         # The kernel diagonal of this cut is the tightest certificate it can
         # get; adopt it whenever it is (restorably) feasible and better.
-        dc = build_diagonal_from_cut(g, cut)
-        lam, _, _ = bottom_spectrum(g, dc)
+        certificate = build_certificate(g, cut)
+        dc, lam = certificate.diag_shift, certificate.lambda_n
         shift = max(0.0, -lam)
         trace_c = float(dc.sum()) + n * shift
         if trace_c < best_trace:
@@ -121,7 +130,7 @@ def solve_min_trace(
 
     for t in range(1, max_iter + 1):
         iterations = t
-        lam, u, _ = bottom_spectrum(g, d)
+        lam, u, _ = eigen_smallest_two(_shifted(g, d))
         shift = max(0.0, -lam)
         trace_f = float(d.sum()) + n * shift
         if trace_f < best_trace:
@@ -153,4 +162,5 @@ def solve_min_trace(
         iterations=iterations,
         converged=converged,
         best_cut=best_cut,
+        certificate=certificate,
     )

@@ -42,11 +42,8 @@ class WeightedGraph:
     The unweighted *support* is the graph of strictly positive entries;
     simple-degree statistics refer to it.
 
-    `_spectra` memoizes spectral.bottom_spectrum in two slots: W's own
-    bottom spectrum, and that of the most recently solved W + diag(d), keyed
-    by the bytes of d so that equal keys mean a bit-identical matrix.  It
-    lives and dies with this graph: nothing is shared between graphs, so a
-    file loaded twice is solved twice.
+    `_spectra` holds W's bottom spectrum once spectral.bottom_spectrum has
+    solved it, so a file loaded twice is solved twice.
     """
 
     weights: np.ndarray

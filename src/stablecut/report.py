@@ -125,7 +125,8 @@ def solver_entry_dual(
     max_iter: int,
     timing: bool,
     on_iteration: Callable[[int, float, float, float], None] | None = None,
-) -> dict:
+) -> tuple[dict, dualsdp.DualSolution]:
+    """The dual's entry, plus the solution, which holds best_cut's certificate."""
     t = _Timer(timing)
     sol = dualsdp.solve_min_trace(g, tol=tol, max_iter=max_iter, on_iteration=on_iteration)
     return _entry(
@@ -136,7 +137,7 @@ def solver_entry_dual(
         gap=sol.gap,
         lambda_min=sol.lambda_min,
         iterations=sol.iterations,
-    )
+    ), sol
 
 
 def solver_entry_oracle(
@@ -166,8 +167,11 @@ def conditions_section(
     g: WeightedGraph,
     candidate: Cut,
     profile: oracle.StabilityReport | None = None,
+    cert: spectral.SpectralCertificate | None = None,
 ) -> dict:
-    cert = spectral.build_certificate(g, candidate)
+    """The conditions block for `candidate`, reusing its certificate `cert` if given."""
+    if cert is None:
+        cert = spectral.build_certificate(g, candidate)
     basic, refined = spectral.spectral_gamma_requirement(g, cert.eigvec)
     holds, margin = spectral.psd_sufficient_margin(g, candidate)
     verdicts = spectral.family_condition_checks(g, candidate, profile)
@@ -217,7 +221,7 @@ def build_run_report(
 ) -> dict:
     """The run report; `on_iteration` receives the dual solver's iterations
     (see dualsdp.solve_min_trace) as they happen."""
-    profile = None
+    profile = sol = None
     entries: dict[str, dict] = {}
     for name in solvers:
         if name == "greedy":
@@ -230,7 +234,7 @@ def build_run_report(
         elif name == "spectral":
             entries[name] = solver_entry_spectral(g, timing)
         elif name == "dual":
-            entries[name] = solver_entry_dual(g, tol, max_iter, timing, on_iteration)
+            entries[name], sol = solver_entry_dual(g, tol, max_iter, timing, on_iteration)
         elif name == "oracle":
             entries[name], profile = solver_entry_oracle(g, oracle_limit, timing)
         else:
@@ -268,7 +272,8 @@ def build_run_report(
         "oracle": osec,
     }
     if candidate is not None:
-        report["conditions"] = conditions_section(g, candidate, profile)
+        cert = sol.certificate if sol is not None and candidate == sol.best_cut else None
+        report["conditions"] = conditions_section(g, candidate, profile, cert)
     return report
 
 

@@ -6,7 +6,6 @@ Max-Cut, plus the Goemans-Williamson bound specialization to stable inputs.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +39,6 @@ LOCAL_GAMMA_CAP = 1e12
 # Unconditional Goemans-Williamson guarantee, printed alongside the
 # ratio-dependent bound.
 GW_FLOOR = 0.8786
-# Guards every graph's memo; graphs may be shared between threads.
-_SPECTRA_LOCK = threading.Lock()
 
 
 def _as_sym(m: np.ndarray) -> np.ndarray:
@@ -70,38 +67,22 @@ def eigen_smallest_two(m: np.ndarray) -> tuple[float, np.ndarray, float]:
     return lam_n, vecs[:, 0].copy(), lam_n1
 
 
-def _shifted(g: WeightedGraph, d: np.ndarray | None) -> np.ndarray:
-    """W + diag(d) as a new matrix; W itself when d is None."""
+def _shifted(g: WeightedGraph, d: np.ndarray) -> np.ndarray:
+    """W + diag(d) as a new matrix."""
     m = g.weights.copy()
-    if d is not None:
-        m.reshape(-1)[:: g.n + 1] = d
+    m.reshape(-1)[:: g.n + 1] = d
     return m
 
 
-def bottom_spectrum(
-    g: WeightedGraph, d: np.ndarray | None = None
-) -> tuple[float, np.ndarray, float]:
-    """eigen_smallest_two(W + diag(d)), remembered in two slots on g.
-
-    One slot holds W's spectrum (d is None), the other the most recently
-    solved shifted matrix, keyed by the bytes of d; a new d replaces it.  A
-    repeated matrix returns exactly what a fresh solve would; the
-    eigenvector is shared and therefore read-only.
-    """
-    if d is not None:
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (g.n,):
-            raise ValidationError(f"diagonal shift must have length {g.n}")
-    slot = d is not None
-    key = None if d is None else d.tobytes()
-    with _SPECTRA_LOCK:
-        held = g._spectra.get(slot)
-    if held is not None and held[0] == key:
-        return held[1]
-    spectrum = eigen_smallest_two(_shifted(g, d))
-    spectrum[1].setflags(write=False)
-    with _SPECTRA_LOCK:
-        g._spectra[slot] = (key, spectrum)
+def bottom_spectrum(g: WeightedGraph) -> tuple[float, np.ndarray, float]:
+    """eigen_smallest_two(W), solved once per graph and stored on it; the
+    eigenvector is shared and therefore read-only.  Nothing is replaced, so
+    threads sharing a graph at worst solve W twice and get the same bits."""
+    spectrum = g._spectra.get("W")
+    if spectrum is None:
+        spectrum = eigen_smallest_two(g.weights)
+        spectrum[1].setflags(write=False)
+        g._spectra["W"] = spectrum
     return spectrum
 
 
@@ -110,10 +91,10 @@ def _sign_cut(u: np.ndarray) -> Cut:
     return Cut(np.where(u > 0, 1, -1).astype(np.int8))
 
 
-def spectral_partition(g: WeightedGraph, d: np.ndarray | None = None) -> Cut:
+def spectral_partition(g: WeightedGraph) -> Cut:
     """Cut induced by the sign pattern (see _sign_cut) of the eigenvector of
-    the least eigenvalue of W + diag(d); d defaults to zero."""
-    return _sign_cut(bottom_spectrum(g, d)[1])
+    the least eigenvalue of W (see bottom_spectrum)."""
+    return _sign_cut(bottom_spectrum(g)[1])
 
 
 def build_diagonal_from_cut(g: WeightedGraph, c: Cut) -> np.ndarray:
@@ -297,7 +278,7 @@ def build_certificate(g: WeightedGraph, c: Cut) -> SpectralCertificate:
     """Certificate for c: kernel diagonal, bottom spectrum, PSD flag, residual."""
     d = build_diagonal_from_cut(g, c)
     m = _shifted(g, d)
-    lam_n, u, lam_n1 = bottom_spectrum(g, d)
+    lam_n, u, lam_n1 = eigen_smallest_two(m)
     residual = float(np.abs(m @ c.as_float()).max()) if g.n else 0.0
     return SpectralCertificate(
         lambda_n=lam_n,

@@ -567,12 +567,41 @@ def test_solve_eigensolves_each_matrix_once(tmp_path, capsys, monkeypatch):
         doc = json.loads(capsys.readouterr().out)
         assert doc["solvers"]["dual"]["certified"] and doc["solvers"]["dual"]["iterations"] == 1
         # W, the first dual iterate and the certified cut's kernel matrix,
-        # which the conditions block reads again
+        # whose certificate the dual hands to the conditions block
         assert calls == [int(n)] * 3
         # each op re-solves: nothing is remembered across graphs
         assert main(argv) == 0
         assert len(calls) == 6
         capsys.readouterr()
+
+
+def test_uncertified_solve_eigensolves_nothing_after_the_dual(tmp_path, capsys, monkeypatch):
+    gen = ["gen", "planted", "--n", "12", "--gamma", "1", "--seed", "1", "-o", str(tmp_path)]
+    assert main(gen) == 0
+    path = capsys.readouterr().out.strip()
+    calls = _count_eigh(monkeypatch)
+    at_return, certificates = [], []
+    solve, certify = dualsdp.solve_min_trace, dualsdp.build_certificate
+
+    def solve_and_count(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        at_return.append(len(calls))
+        return sol
+
+    monkeypatch.setattr(dualsdp, "solve_min_trace", solve_and_count)
+    monkeypatch.setattr(
+        dualsdp, "build_certificate", lambda g, c: certificates.append(c) or certify(g, c)
+    )
+    argv = ["solve", "--solver", "all", "--max-iter", "50", "--no-timing", path]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    dual = doc["solvers"]["dual"]
+    assert not dual["certified"] and dual["iterations"] == 50
+    assert doc["oracle"]["max_cut"] == dual["cut"]
+    # W once, then one per dual iterate and one per cut that raised the
+    # dual's lower bound; the conditions block reuses the best cut's certificate
+    assert calls == [12] * (1 + 50 + len(certificates))
+    assert at_return == [len(calls)]
 
 
 def test_bench_deterministic_and_correct(tmp_path):

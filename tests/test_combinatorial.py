@@ -177,6 +177,9 @@ def test_engine_matches_reference(g):
         (60, "constant:0.7", 1.5),
         (60, "two_point:0.3:0.1:0.3", 4.0),
         (100, "uniform:0.5:1.5", 4.0),
+        (40, "constant:1", 3.0),
+        # integer weights near 2^38: the rounding window admits non-ties
+        (40, "two_point:0.5:274877906944:274877906945", 2.0),
     ],
 )
 def test_engine_matches_reference_on_planted(n, dist, gamma):

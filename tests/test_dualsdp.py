@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from stablecut import (
     polish_cut,
     solve_min_trace,
 )
+from stablecut import dualsdp, spectral
 
 from conftest import random_weighted
 
@@ -165,3 +167,45 @@ def test_certified_implies_exact(n, seed):
     if sol.converged:
         _, best_value, _ = brute_force_max_cut(g)
         assert cut_value(g, sol.best_cut) == pytest.approx(best_value, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_and_cuts())
+@example((WeightedGraph(np.zeros((1, 1))), Cut(np.ones(1))))
+def test_certificate_is_that_of_the_best_cut(gc):
+    g, _ = gc
+    sol = solve_min_trace(g, max_iter=40)
+    ref = build_certificate(g, sol.best_cut)
+    for field in dataclasses.fields(ref):
+        got, want = getattr(sol.certificate, field.name), getattr(ref, field.name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+
+
+class _Unseen(Cut):
+    """A cut equal only to itself, so the dual polishes every rounding."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+def test_polish_runs_once_per_distinct_rounding(monkeypatch):
+    g = gen_planted(12, WeightDistribution.uniform(0.5, 1.5), 1.0, seed=1).graph
+    polish = dualsdp.polish_cut
+
+    def run() -> tuple[list, list]:
+        polished, rows = [], []
+        monkeypatch.setattr(
+            dualsdp, "polish_cut", lambda g, c: polished.append(Cut(c.signs)) or polish(g, c)
+        )
+        sol = solve_min_trace(g, max_iter=300, on_iteration=lambda *row: rows.append(row))
+        assert not sol.converged
+        return polished, rows
+
+    polished, rows = run()
+    monkeypatch.setattr(dualsdp, "_sign_cut", lambda u: _Unseen(spectral._sign_cut(u).signs))
+    every, every_rows = run()
+    assert len(every) == 300  # one rounding per iteration
+    # each distinct rounding is polished once, in the order it first appears
+    assert polished == list(dict.fromkeys(every))
+    assert len(polished) < len(every)
+    assert rows == every_rows

@@ -171,7 +171,7 @@ def test_spectral_recovery_soundness(n, seed):
     _, u, _ = eigen_smallest_two(g.weights + np.diag(d))
     basic, _ = spectral_gamma_requirement(g, u)
     if math.isfinite(basic) and rep.gamma_star > basic:
-        assert spectral_partition(g, d) == rep.max_cut
+        assert spectral._sign_cut(u) == rep.max_cut
 
 
 def test_family_checks_on_c4(c4):
@@ -246,63 +246,33 @@ def _count_solves(monkeypatch) -> list:
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=5_000))
-def test_bottom_spectrum_is_eigen_smallest_two_of_the_shifted_matrix(n, seed):
+def test_bottom_spectrum_is_eigen_smallest_two_of_w(n, seed):
     g = random_weighted(n, seed)
-    rng = np.random.Generator(np.random.Philox(seed))
-    d = rng.normal(size=n)
-    for shift in (None, d, d.copy(), None):
-        lam, u, lam1 = bottom_spectrum(g, shift)
-        m = g.weights if shift is None else g.weights + np.diag(shift)
-        ref_lam, ref_u, ref_lam1 = eigen_smallest_two(m)
+    ref_lam, ref_u, ref_lam1 = eigen_smallest_two(g.weights.copy())
+    for _ in range(2):
+        lam, u, lam1 = bottom_spectrum(g)
         assert (lam, lam1) == (ref_lam, ref_lam1)
         assert np.array_equal(u, ref_u)
 
 
-def test_bottom_spectrum_solves_each_diagonal_once(monkeypatch, c4):
+def test_bottom_spectrum_solves_w_once_per_graph(monkeypatch, c4):
     solved = _count_solves(monkeypatch)
-    d = np.array([2.0, 2.0, 2.0, 2.0])
-    first = bottom_spectrum(c4, d)
-    assert bottom_spectrum(c4, d.copy()) is first
-    assert bottom_spectrum(c4) is bottom_spectrum(c4)
-    assert len(solved) == 2
+    cut = Cut(np.array([1, -1, 1, -1]))
+    first = bottom_spectrum(c4)
+    assert bottom_spectrum(c4) is first
+    assert spectral_partition(c4) == cut
+    psd_sufficient_margin(c4, cut)
+    family_condition_checks(c4, cut)
+    assert len(solved) == 1
     with pytest.raises(ValueError):
         first[1][0] = 0.0  # shared between callers, so read-only
-    # a bit-different diagonal is a different matrix
-    bottom_spectrum(c4, d + np.array([0.0, 0.0, 0.0, 1e-15]))
-    assert len(solved) == 3
-    # another graph with equal weights has its own memo
-    bottom_spectrum(WeightedGraph(c4.weights.copy()), d)
-    assert len(solved) == 4
-
-
-def test_bottom_spectrum_memo_is_bounded_and_keeps_w(monkeypatch, c4):
-    solved = _count_solves(monkeypatch)
-    bottom_spectrum(c4)
-    first, second = np.full(4, 1.0), np.full(4, 2.0)
-    bottom_spectrum(c4, first)
-    bottom_spectrum(c4, first.copy())
+    # another graph with equal weights solves its own
+    bottom_spectrum(WeightedGraph(c4.weights.copy()))
     assert len(solved) == 2
-    bottom_spectrum(c4, second)  # a new shifted matrix replaces the last one
-    assert len(c4._spectra) == 2
-    bottom_spectrum(c4)  # W stays
-    bottom_spectrum(c4, second)
-    assert len(solved) == 3
-    bottom_spectrum(c4, first)  # replaced before, so solved again
-    assert len(solved) == 4
-    bottom_spectrum(c4, second)
-    assert len(solved) == 5
-    assert len(c4._spectra) == 2
-
-
-def test_bottom_spectrum_rejects_wrong_length(c4):
-    with pytest.raises(ValidationError):
-        bottom_spectrum(c4, np.ones(3))
-    with pytest.raises(ValidationError):
-        bottom_spectrum(c4, np.ones((4, 1)))
 
 
 class _SwitchingDict(dict):
-    """A memo that lets other threads run while it is read or written."""
+    """A store that lets other threads run while it is read or written."""
 
     def get(self, key, default=None):
         time.sleep(0)
@@ -314,28 +284,31 @@ class _SwitchingDict(dict):
 
 
 def test_bottom_spectrum_shared_between_threads():
-    g = random_weighted(8, 11)
-    object.__setattr__(g, "_spectra", _SwitchingDict())
-    shifts = [None] + [np.full(8, float(k)) for k in range(8)]
-    expected = [
-        eigen_smallest_two(g.weights if d is None else g.weights + np.diag(d)) for d in shifts
-    ]
+    weights = random_weighted(8, 11).weights
+    cut = Cut(np.array([1, -1] * 4))
+
+    def results(g: WeightedGraph) -> tuple:
+        lam, u, lam1 = bottom_spectrum(g)
+        return lam, u.tobytes(), lam1, spectral_partition(g), psd_sufficient_margin(g, cut)
+
+    expected = results(WeightedGraph(weights))
+    graphs = [WeightedGraph(weights) for _ in range(50)]
+    for g in graphs:
+        object.__setattr__(g, "_spectra", _SwitchingDict())
     errors = []
 
     def worker(offset: int) -> None:
         try:
-            for i in range(200):
-                j = (i + offset) % len(shifts)
-                lam, u, lam1 = bottom_spectrum(g, shifts[j])
-                if (lam, lam1) != expected[j][::2] or not np.array_equal(u, expected[j][1]):
-                    errors.append(j)
+            for i in range(len(graphs)):
+                if results(graphs[(i + offset) % len(graphs)]) != expected:
+                    errors.append(i)
         except Exception as exc:  # reported below, in the test's thread
             errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        threads = [threading.Thread(target=worker, args=(k % 2,)) for k in range(4)]
         for t in threads:
             t.start()
         for t in threads:
@@ -344,4 +317,3 @@ def test_bottom_spectrum_shared_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(g._spectra) <= 2
