@@ -14,7 +14,7 @@ gnp and bench with an --n above that, gen amplify of a file with more
 than half that many vertices, and bench --solver oracle with an --n above
 the enumeration cap.  Exit 2 also covers a graph file that cannot be read
 or is not ASCII, weights summing above graph.MAX_WEIGHT_SUM, --max-iter
-below 1 where the dual runs, a --tol (solve, bench) that is not a finite
+below 1 (solve, bench), a --tol (solve, bench) that is not a finite
 number >= 0, a --gamma or --tau that is not finite, a negative --seed
 (gen planted, gen gnp, gen scale, bench), a bench --n or --gamma list token
 that is not a number, a bench --n that is not an even number >= 2, and
@@ -154,6 +154,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.max_iter < 1:
+        raise ValidationError(f"--max-iter must be at least 1, got {args.max_iter}")
     _check_finite("--tol", args.tol, 0.0)
     _check_finite("--gamma", args.gamma)
     g = _load(args.graph)
@@ -269,8 +271,9 @@ def _parse_list(option: str, text: str, kind: type) -> list:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
+    for option, value in (("--trials", args.trials), ("--max-iter", args.max_iter)):
+        if value < 1:
+            raise ValidationError(f"{option} must be at least 1, got {value}")
     _check_finite("--tol", args.tol, 0.0)
     dist = generators.WeightDistribution.parse(args.dist)
     limit = _oracle_limit()

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import Cut, WeightedGraph, _cut_quadratic, _side_weights
 from .spectral import (
-    SpectralCertificate, _shifted, _sign_cut, build_certificate, eigen_smallest_two,
+    SpectralCertificate, _eigen_bottom, _shifted, _sign_cut, build_certificate,
 )
 
 __all__ = [
@@ -69,6 +69,11 @@ def polish_cut(g: WeightedGraph, c: Cut) -> Cut:
     return _sign_cut(s)
 
 
+def _rounding_key(u: np.ndarray) -> bytes:
+    """The canonical signs of _sign_cut(u) as bytes: True on vertex 0's side."""
+    return ((u > 0) == (u[0] > 0)).tobytes()
+
+
 def solve_min_trace(
     g: WeightedGraph,
     tol: float = DEFAULT_TOL,
@@ -78,14 +83,14 @@ def solve_min_trace(
     """Projected subgradient descent on the exact penalty
     F(d) = sum(d) + rho * max(0, -lambda_min(W + diag(d))) with rho = 2n.
 
-    Starts from the diagonally dominant d = w(i).  Every iterate is restored
-    to feasibility by adding (-lambda_min)+ to all entries, and its
-    sign-rounded bottom eigenvector is polished and scored as a cut to
-    tighten the lower bound (a rounding seen before cannot raise it, so it
-    is skipped); when the kernel diagonal of a scored cut is itself feasible
-    the gap closes exactly.  The answer is best_cut, the best cut scored,
-    with its certificate, and converged = True certifies it maximal.
-    Exhausting max_iter returns the best iterate with converged = False.
+    Starts from the diagonally dominant d = w(i).  Every iterate costs one
+    eigensolve of W + diag(d), is restored to feasibility by adding
+    (-lambda_min)+ to all entries, and its sign-rounded bottom eigenvector is
+    polished and scored as a cut to tighten the lower bound, unless the same
+    sign pattern (_rounding_key) was scored before and so cannot raise it.
+    A scored cut whose kernel diagonal is feasible closes the gap exactly.
+    The answer is best_cut, the best cut scored, with its certificate;
+    converged = True certifies it maximal, and exhausting max_iter leaves it False.
     """
     if g.n < 1:
         raise ValidationError("graph must be nonempty")
@@ -103,14 +108,11 @@ def solve_min_trace(
     lower = -math.inf
     best_cut = certificate = None  # iteration 1 scores a cut, and any value beats -inf
     converged = False
-    iterations = 0
-    scored: set[Cut] = set()
+    ones = np.ones(n)
+    scored: set[bytes] = set()
 
     def consider_cut(rounded: Cut) -> None:
         nonlocal lower, best_cut, certificate, best_d, best_trace, best_lambda
-        if rounded in scored:
-            return
-        scored.add(rounded)
         cut = polish_cut(g, rounded)
         val = _cut_quadratic(g, cut)
         if val <= lower:
@@ -129,8 +131,7 @@ def solve_min_trace(
             best_lambda = max(lam, 0.0)
 
     for t in range(1, max_iter + 1):
-        iterations = t
-        lam, u, _ = eigen_smallest_two(_shifted(g, d))
+        lam, u = _eigen_bottom(_shifted(g, d))
         shift = max(0.0, -lam)
         trace_f = float(d.sum()) + n * shift
         if trace_f < best_trace:
@@ -138,7 +139,10 @@ def solve_min_trace(
             best_trace = trace_f
             best_lambda = max(lam, 0.0)
 
-        consider_cut(_sign_cut(u))
+        key = _rounding_key(u)
+        if key not in scored:
+            scored.add(key)
+            consider_cut(_sign_cut(u))
 
         gap = best_trace - lower
         if on_iteration is not None:
@@ -147,19 +151,15 @@ def solve_min_trace(
             converged = True
             break
 
-        grad = np.ones(n)
-        if lam < 0:
-            grad -= rho * (u * u)
-        d = d - (step0 / math.sqrt(t)) * grad
+        d = d - (step0 / math.sqrt(t)) * (ones - rho * (u * u) if lam < 0 else ones)
 
-    gap = best_trace - lower
     return DualSolution(
         d=best_d,
         trace=best_trace,
         lambda_min=best_lambda,
         lower_bound=lower,
         gap=gap,
-        iterations=iterations,
+        iterations=t,
         converged=converged,
         best_cut=best_cut,
         certificate=certificate,

@@ -55,8 +55,9 @@ def _as_sym(m: np.ndarray) -> np.ndarray:
 def eigen_smallest_two(m: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Two smallest eigenvalues of a symmetric matrix plus the bottom eigenvector.
 
-    Dense LAPACK path (tridiagonalization + implicit QL); the returned vector
-    has unit norm and residual |Mu - lam*u|_inf <= 1e-9 * |M|_inf.
+    Checks m (square, symmetric, nonempty), then takes the dense LAPACK path
+    (tridiagonalization + implicit QL); the returned vector is a unit-norm copy
+    with residual |Mu - lam*u|_inf <= 1e-9 * |M|_inf.  See _eigen_bottom.
     """
     m = _as_sym(m)
     if m.shape[0] == 0:
@@ -65,6 +66,12 @@ def eigen_smallest_two(m: np.ndarray) -> tuple[float, np.ndarray, float]:
     lam_n = float(vals[0])
     lam_n1 = float(vals[1]) if m.shape[0] > 1 else float(vals[0])
     return lam_n, vecs[:, 0].copy(), lam_n1
+
+
+def _eigen_bottom(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """eigen_smallest_two's lam and u, unchecked and uncopied, for the dual."""
+    vals, vecs = np.linalg.eigh(m)
+    return float(vals[0]), vecs[:, 0]
 
 
 def _shifted(g: WeightedGraph, d: np.ndarray) -> np.ndarray:

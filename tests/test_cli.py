@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -47,7 +48,7 @@ def test_gen_planted_writes_files(tmp_path, capsys):
     printed = capsys.readouterr().out.strip()
     assert printed.endswith(".graph")
     assert os.path.exists(printed)
-    sidecar = json.loads(open(printed.replace(".graph", ".json")).read())
+    sidecar = json.loads(Path(printed.replace(".graph", ".json")).read_text())
     assert sidecar["model"] == "planted"
     assert sidecar["seed"] == 7
     assert len(sidecar["planted_cut"]) == 12
@@ -65,7 +66,7 @@ def test_gen_scale_verifies_target(tmp_path, capsys):
     rc = main(["gen", "scale", "--input", tri, "--gamma", "4", "-o", str(tmp_path)])
     assert rc == 0
     printed = capsys.readouterr().out.strip()
-    sidecar = json.loads(open(printed.replace(".graph", ".json")).read())
+    sidecar = json.loads(Path(printed.replace(".graph", ".json")).read_text())
     assert sidecar["verified_gamma_star"] >= 4.0 - 1e-9
     scaled = load_graph(printed)
     assert stability_report(scaled).gamma_star >= 4.0 - 1e-9
@@ -79,7 +80,7 @@ def test_gen_scale_sweeps_twice(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(oracle, "stability_report", lambda g, *a: sweeps.append(g) or sweep(g, *a))
     tri = _write_triangle(tmp_path)
     assert main(["gen", "scale", "--input", tri, "--gamma", "4", "-o", str(tmp_path)]) == 0
-    sidecar = json.loads(open(capsys.readouterr().out.strip().replace(".graph", ".json")).read())
+    sidecar = json.loads(Path(capsys.readouterr().out.strip().replace(".graph", ".json")).read_text())
     assert len(sweeps) == 2
     assert sidecar["verified_gamma_star"] == sweep(sweeps[1]).gamma_star
 
@@ -248,6 +249,8 @@ _BENCH = ["bench", "--n", "4", "--gamma", "2", "--trials", "1"]
         (["gen", "gnp", "--n", "4", "--p", "0.5", "--seed", "-3"], "--seed must be >= 0, got -3"),
         (["gen", "scale", "--gamma", "2", "--seed", "-1", "--input"], "--seed must be >= 0, got -1"),
         (_BENCH + ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["solve", "--solver", "greedy", "--max-iter", "-3"], "--max-iter must be at least 1, got -3"),
+        (["solve", "--solver", "spectral", "--max-iter", "0"], "--max-iter must be at least 1, got 0"),
     ],
 )
 def test_degenerate_options_exit_2(tmp_path, capsys, argv):
@@ -277,6 +280,12 @@ def test_degenerate_options_exit_2(tmp_path, capsys, argv):
         (["--n", "-2", "--gamma", "2"], 2, "--n must be an even number >= 2, got -2"),
         (["--n", "0,4", "--gamma", "2"], 2, "--n must be an even number >= 2, got 0"),
         (["--n", "4", "--gamma", "2", "--seed", "-1"], 2, "--seed must be >= 0, got -1"),
+        (["--n", "4", "--gamma", "2", "--max-iter", "0"], 2, "--max-iter must be at least 1, got 0"),
+        (
+            ["--n", "4", "--gamma", "2", "--solver", "greedy", "--max-iter", "-3"],
+            2,
+            "--max-iter must be at least 1, got -3",
+        ),
     ],
 )
 def test_bench_fails_before_its_first_cell(tmp_path, capsys, monkeypatch, argv, code, message):
@@ -640,8 +649,8 @@ def test_gen_rerun_byte_identical(tmp_path, capsys):
         assert rc == 0
     printed = capsys.readouterr().out.strip().splitlines()
     assert printed[0] == printed[1]
-    data1 = open(printed[0], "rb").read()
+    data1 = Path(printed[0]).read_bytes()
     rc = main(
         ["gen", "planted", "--n", "10", "--gamma", "2.5", "--seed", "3", "-o", str(tmp_path)]
     )
-    assert open(printed[0], "rb").read() == data1
+    assert Path(printed[0]).read_bytes() == data1

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from stablecut import (
     polish_cut,
     solve_min_trace,
 )
-from stablecut import dualsdp, spectral
+from stablecut import dualsdp
+from stablecut.errors import ValidationError
+from stablecut.graph import _cut_quadratic
+from stablecut.spectral import _shifted, _sign_cut, eigen_smallest_two
 
 from conftest import random_weighted
 
@@ -181,13 +185,6 @@ def test_certificate_is_that_of_the_best_cut(gc):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
 
 
-class _Unseen(Cut):
-    """A cut equal only to itself, so the dual polishes every rounding."""
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-
 def test_polish_runs_once_per_distinct_rounding(monkeypatch):
     g = gen_planted(12, WeightDistribution.uniform(0.5, 1.5), 1.0, seed=1).graph
     polish = dualsdp.polish_cut
@@ -202,10 +199,159 @@ def test_polish_runs_once_per_distinct_rounding(monkeypatch):
         return polished, rows
 
     polished, rows = run()
-    monkeypatch.setattr(dualsdp, "_sign_cut", lambda u: _Unseen(spectral._sign_cut(u).signs))
+    # a key equal only to itself, so the dual polishes every rounding
+    monkeypatch.setattr(dualsdp, "_rounding_key", lambda u: object())
     every, every_rows = run()
     assert len(every) == 300  # one rounding per iteration
     # each distinct rounding is polished once, in the order it first appears
     assert polished == list(dict.fromkeys(every))
     assert len(polished) < len(every)
     assert rows == every_rows
+
+
+# --- reference loop: one checked eigensolve and one Cut per iteration ---
+#
+# solve_min_trace as it was before its iterations took the unchecked
+# eigensolve and keyed roundings by their sign bytes, kept verbatim as the
+# ground truth for the loop; only DualSolution is qualified.
+
+
+def _reference_solve_min_trace(
+    g, tol=dualsdp.DEFAULT_TOL, max_iter=dualsdp.DEFAULT_MAX_ITER, on_iteration=None
+):
+    if g.n < 1:
+        raise ValidationError("graph must be nonempty")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    n, w = g.n, g.weights
+    rho = 2.0 * n
+    degrees = w.sum(axis=1)
+    step0 = max(1.0, float(degrees.mean())) / math.sqrt(n)
+
+    d = degrees.copy()
+    best_d = d.copy()
+    best_trace = float(d.sum())
+    best_lambda = 0.0
+    lower = -math.inf
+    best_cut = certificate = None  # iteration 1 scores a cut, and any value beats -inf
+    converged = False
+    iterations = 0
+    scored: set[Cut] = set()
+
+    def consider_cut(rounded: Cut) -> None:
+        nonlocal lower, best_cut, certificate, best_d, best_trace, best_lambda
+        if rounded in scored:
+            return
+        scored.add(rounded)
+        cut = polish_cut(g, rounded)
+        val = _cut_quadratic(g, cut)
+        if val <= lower:
+            return
+        lower = val
+        best_cut = cut
+        # The kernel diagonal of this cut is the tightest certificate it can
+        # get; adopt it whenever it is (restorably) feasible and better.
+        certificate = build_certificate(g, cut)
+        dc, lam = certificate.diag_shift, certificate.lambda_n
+        shift = max(0.0, -lam)
+        trace_c = float(dc.sum()) + n * shift
+        if trace_c < best_trace:
+            best_d = dc + shift
+            best_trace = trace_c
+            best_lambda = max(lam, 0.0)
+
+    for t in range(1, max_iter + 1):
+        iterations = t
+        lam, u, _ = eigen_smallest_two(_shifted(g, d))
+        shift = max(0.0, -lam)
+        trace_f = float(d.sum()) + n * shift
+        if trace_f < best_trace:
+            best_d = d + shift
+            best_trace = trace_f
+            best_lambda = max(lam, 0.0)
+
+        consider_cut(_sign_cut(u))
+
+        gap = best_trace - lower
+        if on_iteration is not None:
+            on_iteration(t, best_trace, lam, gap)
+        if gap <= tol * max(1.0, abs(best_trace)):
+            converged = True
+            break
+
+        grad = np.ones(n)
+        if lam < 0:
+            grad -= rho * (u * u)
+        d = d - (step0 / math.sqrt(t)) * grad
+
+    gap = best_trace - lower
+    return dualsdp.DualSolution(
+        d=best_d,
+        trace=best_trace,
+        lambda_min=best_lambda,
+        lower_bound=lower,
+        gap=gap,
+        iterations=iterations,
+        converged=converged,
+        best_cut=best_cut,
+        certificate=certificate,
+    )
+
+
+def _bits(x):
+    """x as comparable bytes: floats and arrays by their bits, so -0.0 and
+    NaN compare exactly, and dataclasses field by field."""
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    a = np.asarray(x)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def assert_matches_reference_loop(g: WeightedGraph, **kwargs) -> list:
+    """Run both loops on g; the iteration rows and every DualSolution field
+    agree bit for bit.  Returns the rows."""
+    rows, ref_rows = [], []
+    sol = solve_min_trace(g, on_iteration=lambda *row: rows.append(row), **kwargs)
+    ref = _reference_solve_min_trace(g, on_iteration=lambda *row: ref_rows.append(row), **kwargs)
+    assert [_bits(row) for row in rows] == [_bits(row) for row in ref_rows]
+    for field in dataclasses.fields(ref):
+        got, want = getattr(sol, field.name), getattr(ref, field.name)
+        assert _bits(got) == _bits(want), field.name
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_and_cuts(), st.sampled_from([dualsdp.DEFAULT_TOL, 0.0]))
+@example((WeightedGraph(np.zeros((1, 1))), Cut(np.ones(1))), dualsdp.DEFAULT_TOL)
+@example((WeightedGraph(np.zeros((4, 4))), Cut(np.ones(4))), 0.0)
+def test_loop_matches_reference(gc, tol):
+    assert_matches_reference_loop(gc[0], tol=tol, max_iter=150)
+
+
+@pytest.mark.parametrize(
+    "n, dist, gamma, seed",
+    [
+        (12, "uniform:0.5:1.5", 1.0, 1),
+        (14, "uniform:0.5:1.5", 1.1, 2),
+        (16, "uniform:0.5:1.5", 1.25, 3),
+        (12, "two_point:0.3:0.5:1.5", 1.2, 4),
+        (16, "constant:0.7", 1.0, 5),
+    ],
+)
+def test_loop_matches_reference_on_planted(n, dist, gamma, seed):
+    g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed).graph
+    assert_matches_reference_loop(g, max_iter=300)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 40])
+def test_loop_matches_reference_on_small_graphs(max_iter, unit_triangle, triangle):
+    one = WeightedGraph(np.zeros((1, 1)))
+    edgeless = WeightedGraph(np.zeros((5, 5)))
+    for g in (one, edgeless, triangle):
+        assert_matches_reference_loop(g, max_iter=max_iter)
+    rows = assert_matches_reference_loop(unit_triangle, max_iter=max_iter)
+    # the gap never closes; the first iterate is feasible, so its step is all
+    # ones, and longer runs also step by ones - rho * u^2 where lam < 0
+    lams = [row[2] for row in rows]
+    assert len(lams) == max_iter and lams[0] >= 0
+    assert min(lams) < 0 or max_iter < 3
