@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ValidationError
 from .graph import Cut, WeightedGraph, _cut_quadratic, _side_weights
 from .spectral import (
-    SpectralCertificate, _eigen_bottom, _shifted, _sign_cut, build_certificate,
+    SpectralCertificate, _rounding_key, _shifted, _sign_cut, build_certificate,
+    eigen_smallest_two,
 )
 
 __all__ = [
@@ -67,11 +68,6 @@ def polish_cut(g: WeightedGraph, c: Cut) -> Cut:
             break
         s[v] = -s[v]
     return _sign_cut(s)
-
-
-def _rounding_key(u: np.ndarray) -> bytes:
-    """The canonical signs of _sign_cut(u) as bytes: True on vertex 0's side."""
-    return ((u > 0) == (u[0] > 0)).tobytes()
 
 
 def solve_min_trace(
@@ -131,7 +127,7 @@ def solve_min_trace(
             best_lambda = max(lam, 0.0)
 
     for t in range(1, max_iter + 1):
-        lam, u = _eigen_bottom(_shifted(g, d))
+        lam, u, _ = eigen_smallest_two(_shifted(g, d))
         shift = max(0.0, -lam)
         trace_f = float(d.sum()) + n * shift
         if trace_f < best_trace:

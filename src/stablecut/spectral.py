@@ -55,9 +55,8 @@ def _as_sym(m: np.ndarray) -> np.ndarray:
 def eigen_smallest_two(m: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Two smallest eigenvalues of a symmetric matrix plus the bottom eigenvector.
 
-    Checks m (square, symmetric, nonempty), then takes the dense LAPACK path
-    (tridiagonalization + implicit QL); the returned vector is a unit-norm copy
-    with residual |Mu - lam*u|_inf <= 1e-9 * |M|_inf.  See _eigen_bottom.
+    Dense LAPACK path (tridiagonalization + implicit QL); the returned vector
+    has unit norm and residual |Mu - lam*u|_inf <= 1e-9 * |M|_inf.
     """
     m = _as_sym(m)
     if m.shape[0] == 0:
@@ -66,12 +65,6 @@ def eigen_smallest_two(m: np.ndarray) -> tuple[float, np.ndarray, float]:
     lam_n = float(vals[0])
     lam_n1 = float(vals[1]) if m.shape[0] > 1 else float(vals[0])
     return lam_n, vecs[:, 0].copy(), lam_n1
-
-
-def _eigen_bottom(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """eigen_smallest_two's lam and u, unchecked and uncopied, for the dual."""
-    vals, vecs = np.linalg.eigh(m)
-    return float(vals[0]), vecs[:, 0]
 
 
 def _shifted(g: WeightedGraph, d: np.ndarray) -> np.ndarray:
@@ -93,9 +86,20 @@ def bottom_spectrum(g: WeightedGraph) -> tuple[float, np.ndarray, float]:
     return spectrum
 
 
+def _positive(u: np.ndarray) -> np.ndarray:
+    """The side of each vertex in a sign rounding: entries > 0 against <= 0."""
+    return u > 0
+
+
 def _sign_cut(u: np.ndarray) -> Cut:
     """Entries > 0 go to one side, entries <= 0 to the other."""
-    return Cut(np.where(u > 0, 1, -1).astype(np.int8))
+    return Cut(np.where(_positive(u), 1, -1).astype(np.int8))
+
+
+def _rounding_key(u: np.ndarray) -> bytes:
+    """_sign_cut(u)'s sides as bytes, True on vertex 0's: equal exactly when the cuts are."""
+    side = _positive(u)
+    return (side == side[0]).tobytes()
 
 
 def spectral_partition(g: WeightedGraph) -> Cut:

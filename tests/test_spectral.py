@@ -174,6 +174,21 @@ def test_spectral_recovery_soundness(n, seed):
         assert spectral._sign_cut(u) == rep.max_cut
 
 
+_entries = st.sampled_from([-1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(*[st.lists(_entries, min_size=n, max_size=n)] * 2)
+    )
+)
+def test_rounding_key_equal_exactly_when_sign_cuts_are(pair):
+    a, b = (np.array(u) for u in pair)
+    same_key = spectral._rounding_key(a) == spectral._rounding_key(b)
+    assert same_key == (spectral._sign_cut(a) == spectral._sign_cut(b))
+
+
 def test_family_checks_on_c4(c4):
     cut, _, _ = brute_force_max_cut(c4)
     verdicts = {v.name: v for v in family_condition_checks(c4, cut, stability_report(c4))}
