@@ -24,6 +24,7 @@ bench --trials below 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -320,7 +321,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # --- parser --------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing does not change it.
+    It holds no functions: main looks cmd_<command> up in this module on each call."""
     parser = argparse.ArgumentParser(
         prog="stablecut",
         description="Generate, certify, and solve gamma-stable Max-Cut instances.",
@@ -339,27 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--dist", default="uniform:0.5:1.5")
     gp.add_argument("--seed", type=int, default=0)
     gp.add_argument("-o", "--out", default=".")
-    gp.set_defaults(func=cmd_gen)
 
     gg = gsub.add_parser("gnp", help="unit-weight binomial random graph")
     gg.add_argument("--n", type=int, required=True)
     gg.add_argument("--p", type=float, required=True)
     gg.add_argument("--seed", type=int, default=0)
     gg.add_argument("-o", "--out", default=".")
-    gg.set_defaults(func=cmd_gen)
 
     gs = gsub.add_parser("scale", help="rescale max-cut edges to a target stability")
     gs.add_argument("--input", required=True)
     gs.add_argument("--gamma", type=float, required=True)
     gs.add_argument("--seed", type=int, default=0)
     gs.add_argument("-o", "--out", default=".")
-    gs.set_defaults(func=cmd_gen)
 
     ga = gsub.add_parser("amplify", help="double the graph to raise local stability")
     ga.add_argument("--input", required=True)
     ga.add_argument("--tau", type=float, default=1.0)
     ga.add_argument("-o", "--out", default=".")
-    ga.set_defaults(func=cmd_gen)
 
     sv = sub.add_parser("solve", help="run solvers and emit a JSON run report")
     sv.add_argument("graph")
@@ -369,19 +369,20 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--gamma", type=float, default=None, help="stability hint for greedy applicability")
     sv.add_argument("--require-certified", action="store_true")
     sv.add_argument("--no-timing", action="store_true")
-    sv.add_argument("--iter-log", default=None, help="stream dual iterations to CSV")
+    sv.add_argument(
+        "--iter-log", default=None,
+        help="stream dual iterations to CSV; an iterate after a feasible one keeps its "
+        "eigenvector, and its lambda_min is the previous one shifted down by the step",
+    )
     sv.add_argument("-o", "--output", default=None)
-    sv.set_defaults(func=cmd_solve)
 
     vf = sub.add_parser("verify", help="exact stability report (oracle only)")
     vf.add_argument("graph")
     vf.add_argument("-o", "--output", default=None)
-    vf.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("spectrum", help="eigenvalues plus condition checks")
     sp.add_argument("graph")
     sp.add_argument("-o", "--output", default=None)
-    sp.set_defaults(func=cmd_spectrum)
 
     bn = sub.add_parser("bench", help="seeded sweep over planted instances")
     bn.add_argument("--n", required=True, help="comma-separated vertex counts")
@@ -394,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--max-iter", type=int, default=dualsdp.DEFAULT_MAX_ITER)
     bn.add_argument("--no-timing", action="store_true")
     bn.add_argument("-o", "--out", default=None)
-    bn.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -405,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE

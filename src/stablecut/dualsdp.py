@@ -79,11 +79,14 @@ def solve_min_trace(
     """Projected subgradient descent on the exact penalty
     F(d) = sum(d) + rho * max(0, -lambda_min(W + diag(d))) with rho = 2n.
 
-    Starts from the diagonally dominant d = w(i).  Every iterate costs one
-    eigensolve of W + diag(d), is restored to feasibility by adding
-    (-lambda_min)+ to all entries, and its sign-rounded bottom eigenvector is
-    polished and scored as a cut to tighten the lower bound, unless the same
-    sign pattern (_rounding_key) was scored before and so cannot raise it.
+    Starts from the diagonally dominant d = w(i).  Each iterate is restored
+    to feasibility by adding (-lambda_min)+ to all entries, and its
+    sign-rounded bottom eigenvector is polished and scored as a cut to
+    tighten the lower bound, unless the same sign pattern (_rounding_key) was
+    scored before and so cannot raise it.  An iterate costs one eigensolve of
+    W + diag(d), except after a feasible one (lambda_min >= 0): its step is
+    d - s*1, which leaves the eigenvectors alone and lowers every eigenvalue
+    by s, so the next iterate keeps u, takes lambda_min - s, and scores nothing.
     A scored cut whose kernel diagonal is feasible closes the gap exactly.
     The answer is best_cut, the best cut scored, with its certificate;
     converged = True certifies it maximal, and exhausting max_iter leaves it False.
@@ -126,8 +129,10 @@ def solve_min_trace(
             best_trace = trace_c
             best_lambda = max(lam, 0.0)
 
+    fresh = True  # iteration 1 solves; after that, only a step with lam < 0 does
     for t in range(1, max_iter + 1):
-        lam, u, _ = eigen_smallest_two(_shifted(g, d))
+        if fresh:
+            lam, u, _ = eigen_smallest_two(_shifted(g, d))
         shift = max(0.0, -lam)
         trace_f = float(d.sum()) + n * shift
         if trace_f < best_trace:
@@ -135,10 +140,11 @@ def solve_min_trace(
             best_trace = trace_f
             best_lambda = max(lam, 0.0)
 
-        key = _rounding_key(u)
-        if key not in scored:
-            scored.add(key)
-            consider_cut(_sign_cut(u))
+        if fresh:
+            key = _rounding_key(u)
+            if key not in scored:
+                scored.add(key)
+                consider_cut(_sign_cut(u))
 
         gap = best_trace - lower
         if on_iteration is not None:
@@ -147,7 +153,13 @@ def solve_min_trace(
             converged = True
             break
 
-        d = d - (step0 / math.sqrt(t)) * (ones - rho * (u * u) if lam < 0 else ones)
+        step = step0 / math.sqrt(t)
+        fresh = lam < 0
+        if fresh:
+            d = d - step * (ones - rho * (u * u))
+        else:
+            d = d - step * ones
+            lam -= step
 
     return DualSolution(
         d=best_d,

@@ -601,15 +601,20 @@ def test_uncertified_solve_eigensolves_nothing_after_the_dual(tmp_path, capsys, 
     monkeypatch.setattr(
         dualsdp, "build_certificate", lambda g, c: certificates.append(c) or certify(g, c)
     )
-    argv = ["solve", "--solver", "all", "--max-iter", "50", "--no-timing", path]
+    log = tmp_path / "iter.csv"
+    argv = ["solve", "--solver", "all", "--max-iter", "50", "--iter-log", str(log), "--no-timing", path]
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     dual = doc["solvers"]["dual"]
     assert not dual["certified"] and dual["iterations"] == 50
     assert doc["oracle"]["max_cut"] == dual["cut"]
-    # W once, then one per dual iterate and one per cut that raised the
-    # dual's lower bound; the conditions block reuses the best cut's certificate
-    assert calls == [12] * (1 + 50 + len(certificates))
+    lams = [float(row.split(",")[2]) for row in log.read_text().splitlines()[1:]]
+    assert len(lams) == 50
+    # W once, the first dual iterate, each iterate after one with
+    # lambda_min < 0 (a feasible iterate's step keeps its eigenpair), and one
+    # per cut that raised the dual's lower bound; the conditions block reuses
+    # the best cut's certificate
+    assert calls == [12] * (1 + 1 + sum(lam < 0 for lam in lams[:-1]) + len(certificates))
     assert at_return == [len(calls)]
 
 
@@ -627,6 +632,26 @@ def test_bench_deterministic_and_correct(tmp_path):
     assert lines[0] == "n,gamma,dist,trials,solver,recovery_rate,certified_rate,mean_ms"
     rows = {tuple(ln.split(",")[:2]): ln.split(",") for ln in lines[1:]}
     assert float(rows[("12", "4.0")][5]) == 1.0
+
+
+def test_parser_is_built_once_and_survives_an_error_exit(tmp_path, capsys, monkeypatch):
+    path = _write_triangle(tmp_path)
+    argv = ["solve", "--no-timing", "--iter-log", str(tmp_path / "iter.csv"), path]
+    cli.build_parser.cache_clear()
+    assert main(argv) == 0
+    fresh = capsys.readouterr(), (tmp_path / "iter.csv").read_bytes()
+    parser = cli.build_parser()
+    for bad in (["solve", "--solver", "nope", path], ["gen", "planted", "--gamma", "2"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: stablecut")
+        assert main(argv) == 0
+        assert (capsys.readouterr(), (tmp_path / "iter.csv").read_bytes()) == fresh
+    assert cli.build_parser() is parser
+    # the cached parser names its commands; main calls the module's current ones
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: 7)
+    assert main(argv) == 7
 
 
 def test_solve_rerun_byte_identical(tmp_path, capsys):

@@ -182,6 +182,12 @@ def test_certificate_is_that_of_the_best_cut(gc):
     assert _bits(sol.certificate) == _bits(build_certificate(g, sol.best_cut))
 
 
+def _solved(rows) -> list[int]:
+    """The iterations that eigensolve, read off the on_iteration rows: the
+    first, and each one after an iterate with lambda_min < 0."""
+    return [1] + [t + 1 for t, _, lam, _ in rows[:-1] if lam < 0]
+
+
 def test_polish_runs_once_per_distinct_rounding(monkeypatch):
     g = gen_planted(12, WeightDistribution.uniform(0.5, 1.5), 1.0, seed=1).graph
     polish = dualsdp.polish_cut
@@ -199,7 +205,7 @@ def test_polish_runs_once_per_distinct_rounding(monkeypatch):
     # a key equal only to itself, so the dual polishes every rounding
     monkeypatch.setattr(dualsdp, "_rounding_key", lambda u: object())
     every, every_rows = run()
-    assert len(every) == 300  # one rounding per iteration
+    assert len(every) == len(_solved(every_rows))  # one rounding per eigensolve
     # each distinct rounding is polished once, in the order it first appears
     assert polished == list(dict.fromkeys(every))
     assert len(polished) < len(every)
@@ -210,11 +216,13 @@ def test_polish_runs_once_per_distinct_rounding(monkeypatch):
 #
 # solve_min_trace as it was before it keyed roundings by their sign bytes,
 # kept verbatim as the ground truth for the loop; only DualSolution is
-# qualified.
+# qualified.  It keeps the eigenpair across the step after a feasible iterate
+# as solve_min_trace does; reuse=False solves every iterate afresh instead.
 
 
 def _reference_solve_min_trace(
-    g, tol=dualsdp.DEFAULT_TOL, max_iter=dualsdp.DEFAULT_MAX_ITER, on_iteration=None
+    g, tol=dualsdp.DEFAULT_TOL, max_iter=dualsdp.DEFAULT_MAX_ITER, on_iteration=None,
+    reuse=True,
 ):
     if g.n < 1:
         raise ValidationError("graph must be nonempty")
@@ -257,9 +265,11 @@ def _reference_solve_min_trace(
             best_trace = trace_c
             best_lambda = max(lam, 0.0)
 
+    solve = True
     for t in range(1, max_iter + 1):
         iterations = t
-        lam, u, _ = eigen_smallest_two(_shifted(g, d))
+        if solve or not reuse:
+            lam, u, _ = eigen_smallest_two(_shifted(g, d))
         shift = max(0.0, -lam)
         trace_f = float(d.sum()) + n * shift
         if trace_f < best_trace:
@@ -280,6 +290,9 @@ def _reference_solve_min_trace(
         if lam < 0:
             grad -= rho * (u * u)
         d = d - (step0 / math.sqrt(t)) * grad
+        solve = lam < 0
+        if not solve:
+            lam -= step0 / math.sqrt(t)
 
     gap = best_trace - lower
     return dualsdp.DualSolution(
@@ -352,3 +365,84 @@ def test_loop_matches_reference_on_small_graphs(max_iter, unit_triangle, triangl
     lams = [row[2] for row in rows]
     assert len(lams) == max_iter and lams[0] >= 0
     assert min(lams) < 0 or max_iter < 3
+
+
+# --- the eigenpair kept across a feasible iterate's step ---
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        "unit_triangle",
+        (12, "uniform:0.5:1.5", 1.0, 1),
+        (14, "uniform:0.5:1.5", 1.1, 2),
+        (16, "two_point:0.3:0.5:1.5", 1.0, 3),
+        (16, "uniform:0.5:1.5", 1.0, 4),
+    ],
+)
+def test_reused_iterate_is_an_eigenpair_of_its_matrix(graph, monkeypatch, request):
+    if graph == "unit_triangle":
+        g = request.getfixturevalue(graph)
+    else:
+        n, dist, gamma, seed = graph
+        g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed).graph
+    solves, rows = [], []
+    solve = dualsdp.eigen_smallest_two
+
+    def recording(m):
+        solves.append((m.diagonal().copy(), solve(m)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(dualsdp, "eigen_smallest_two", recording)
+    solve_min_trace(g, max_iter=1000, on_iteration=lambda *row: rows.append(row + (len(solves),)))
+    before = [0] + [row[-1] for row in rows]
+    solved_at = [row[0] for row, k in zip(rows, before) if row[-1] > k]
+    assert solved_at == _solved([row[:4] for row in rows]) and len(solved_at) == len(solves)
+
+    # replay the iterates d from the solver's step, checked against the
+    # diagonal of every matrix it solves
+    n = g.n
+    ones = np.ones(n)
+    step0 = max(1.0, float(g.weights.sum(axis=1).mean())) / math.sqrt(n)
+    d = g.weights.sum(axis=1)
+    for (t, _, lam, _, k), k_before in zip(rows, before):
+        if k > k_before:
+            diag, (lam_solved, u, _) = solves[k - 1]
+            assert _bits(diag) == _bits(d) and lam == lam_solved
+        else:
+            m = _shifted(g, d)
+            norm = float(np.abs(m).sum(axis=1).max())
+            assert abs(lam - eigen_smallest_two(m)[0]) <= 1e-12 * norm
+            assert float(np.abs(m @ u - lam * u).max()) <= 1e-9 * norm
+        step = step0 / math.sqrt(t)
+        d = d - step * (ones - 2.0 * n * (u * u)) if lam < 0 else d - step * ones
+    assert len(rows) == 1000 and len(solves) < 900
+
+
+@pytest.mark.parametrize("n", [6, 10, 16])
+@pytest.mark.parametrize(
+    "dist", ["uniform:0.5:1.5", "constant:1", "constant:0.7", "two_point:0.3:0.5:1.5"]
+)
+def test_reuse_matches_fresh_eigensolves_on_planted(n, dist):
+    for gamma, seed in [(1.0, 0), (1.25, 1), (2.0, 2)]:
+        g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed).graph
+        assert_matches_fresh_eigensolves(g, max_iter=300)
+
+
+def test_reuse_matches_fresh_eigensolves_when_certified_late():
+    # the dual certifies these at iteration 9 and 2, after reused iterates
+    for g, iterations in [(random_weighted(7, 26, 1.0), 9), (random_weighted(9, 31, 0.3), 2)]:
+        sol = assert_matches_fresh_eigensolves(g, max_iter=2000)
+        assert sol.converged and sol.iterations == iterations
+
+
+def assert_matches_fresh_eigensolves(g: WeightedGraph, **kwargs) -> dualsdp.DualSolution:
+    """solve_min_trace and the reference loop solving every iterate afresh
+    agree on converged and iterations, and on the best cut's value when
+    certified.  Returns solve_min_trace's answer."""
+    sol = solve_min_trace(g, **kwargs)
+    fresh = _reference_solve_min_trace(g, reuse=False, **kwargs)
+    assert (sol.converged, sol.iterations) == (fresh.converged, fresh.iterations)
+    if sol.converged:
+        assert _cut_quadratic(g, sol.best_cut) == _cut_quadratic(g, fresh.best_cut)
+    return sol
