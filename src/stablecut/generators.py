@@ -57,18 +57,6 @@ class WeightDistribution:
             raise ValidationError(f"unknown distribution kind {k!r}")
 
     @classmethod
-    def constant(cls, c: float) -> "WeightDistribution":
-        return cls("constant", (float(c),))
-
-    @classmethod
-    def uniform(cls, a: float, b: float) -> "WeightDistribution":
-        return cls("uniform", (float(a), float(b)))
-
-    @classmethod
-    def two_point(cls, p: float, w_low: float, w_high: float) -> "WeightDistribution":
-        return cls("two_point", (float(p), float(w_low), float(w_high)))
-
-    @classmethod
     def parse(cls, text: str) -> "WeightDistribution":
         """Parse CLI syntax like 'uniform:0.5:1.5' or 'constant:1'."""
         parts = text.split(":")

@@ -42,8 +42,9 @@ class WeightedGraph:
     The unweighted *support* is the graph of strictly positive entries;
     simple-degree statistics refer to it.
 
-    `_spectra` holds W's bottom spectrum once spectral.bottom_spectrum has
-    solved it, so a file loaded twice is solved twice.
+    `_spectra` holds W's eigenvalues and bottom spectrum once spectral has
+    solved W (see spectral.bottom_spectrum), so a file loaded twice is solved
+    twice.
     """
 
     weights: np.ndarray
@@ -94,16 +95,6 @@ class WeightedGraph:
         w = self.weights
         return bool(np.all((w == 0) | (w == 1)))
 
-    @classmethod
-    def from_edges(
-        cls, n: int, edges: list[tuple[int, int, float]] | None = None
-    ) -> "WeightedGraph":
-        w = np.zeros((n, n))
-        for u, v, wt in edges or []:
-            w[u, v] = wt
-            w[v, u] = wt
-        return cls(w)
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -133,11 +124,6 @@ class Cut:
     def as_float(self) -> np.ndarray:
         return self.signs.astype(np.float64)
 
-    def flipped(self, v: int) -> "Cut":
-        s = self.signs.copy()
-        s[v] = -s[v]
-        return Cut(s)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cut):
             return NotImplemented
@@ -149,11 +135,10 @@ class Cut:
 
 @dataclass(frozen=True)
 class DegreeStats:
-    """Weighted degrees plus support-degree extremes."""
+    """Weighted degrees plus the least weighted and support degrees."""
 
     weighted: np.ndarray = field(repr=False)
     min_weighted: float
-    max_simple: int
     min_simple: int
 
 
@@ -178,16 +163,14 @@ def _side_weights(g: WeightedGraph, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def weighted_degrees(g: WeightedGraph) -> DegreeStats:
-    """Row sums of the weight matrix and support-degree extremes."""
+    """Row sums of the weight matrix and their minimum, and the least support degree."""
     w = g.weights.sum(axis=1)
-    simple = g.support.sum(axis=1)
     if g.n == 0:
-        return DegreeStats(_frozen(w), 0.0, 0, 0)
+        return DegreeStats(_frozen(w), 0.0, 0)
     return DegreeStats(
         weighted=_frozen(w),
         min_weighted=float(w.min()),
-        max_simple=int(simple.max()),
-        min_simple=int(simple.min()),
+        min_simple=int(g.support.sum(axis=1).min()),
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -168,6 +169,22 @@ def _cut_weight(g: WeightedGraph, c: Cut) -> float:
     return math.fsum(g.weights[iu, ju][c.signs[iu] != c.signs[ju]])
 
 
+def _exact_terms(g: WeightedGraph, s: np.ndarray) -> Callable[[int], list[float]]:
+    """terms(mask) = [num, den, num - den, num + den] of the partition T with
+    that mask against S = s, each summed exactly by math.fsum (correctly
+    rounded, so the order of the terms does not matter)."""
+    iu, ju = np.nonzero(np.triu(g.support))
+    wv, s_e = g.weights[iu, ju], s[iu] != s[ju]
+
+    def terms(mask: int) -> list[float]:
+        sides = mask << 1  # bit v is T's side of vertex v, 0 for vertex 0
+        t_e = (((sides >> iu) ^ (sides >> ju)) & 1).astype(bool)
+        pos, neg = wv[s_e & ~t_e].tolist(), wv[t_e & ~s_e].tolist()
+        return [math.fsum(x) for x in (pos, neg, pos + [-x for x in neg], pos + neg)]
+
+    return terms
+
+
 def _distinctness(g: WeightedGraph, s: np.ndarray) -> tuple:
     """Second sweep against the unique maximum s: (gamma*, lowest argmin mask
     or None, alpha*, k*).  Uniqueness keeps every T far more than the rounding
@@ -183,16 +200,7 @@ def _distinctness(g: WeightedGraph, s: np.ndarray) -> tuple:
     # by less than err; integer weights sum exactly.
     integral = np.array_equal(w, np.round(w)) and w.sum() < 2.0**50
     err = 0.0 if integral else n * n * np.finfo(np.float64).eps * w.sum()
-    iu, ju = np.nonzero(np.triu(g.support))
-    wv, s_e = w[iu, ju], s[iu] != s[ju]
-
-    def terms(mask: int) -> list[float]:
-        """[num, den, num - den, num + den] of one T, summed exactly."""
-        t = _cut_for_mask(n, mask).signs
-        t_e = t[iu] != t[ju]
-        pos, neg = wv[s_e & ~t_e], wv[t_e & ~s_e]
-        return [math.fsum(x) for x in (pos, neg, [*pos, *-neg], [*pos, *neg])]
-
+    terms = _exact_terms(g, s)
     best = {"gamma": (math.inf, None), "k": (math.inf, None)}
 
     def fold(key: str, start: int, valid, p, q, ep: float, eq: float, exact) -> None:

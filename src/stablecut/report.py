@@ -5,13 +5,17 @@ This is the one module that turns results into report JSON.  The three
 reports share one instance block, and `_num` is the only place where an
 infinity is encoded, as "inf" or "-inf".  `solve` and `spectrum` attach the
 exact stability profile by one rule, n <= min(AUTO_ORACLE_ATTACH, limit).
-Numeric fields carry their tolerance context in the `tolerances` block; a
+Every eigenvalue of W comes from its one eigendecomposition, memoized on the
+graph (spectral.eigenvalues_of_w), and a conditions block computes the
+candidate's local stability once.  Numeric fields carry their tolerance
+context in the `tolerances` block, `wall_ms` is 0.0 under --no-timing, and a
 skipped oracle section is explicit.
 
 The run report is O(n) in size, and no field repeats another: a greedy
 step's index is its place in the trace and its component sizes are rebuilt
 from the trace (see combinatorial.find_max_cut_greedy), the dual's
-convergence is `certified`, and its gap tolerance is `parameters.tol`.
+convergence is `certified`, its gap tolerance is `parameters.tol`, and the
+larger of the GW block's `stable_bound` and `floor` is left to the reader.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ import numpy as np
 
 from . import combinatorial, dualsdp, oracle, spectral
 from .errors import ValidationError
-from .graph import Cut, WeightedGraph, cut_value
+from .graph import Cut, WeightedGraph, cut_value, weighted_degrees
 
-SCHEMA_ID = "stablecut-run-report/3"
+SCHEMA_ID = "stablecut-run-report/4"
 SOLVERS = ("greedy", "contract", "spectral", "dual", "oracle")
 
 # Solve and spectrum attach the exact oracle automatically up to this size.
@@ -169,23 +173,23 @@ def conditions_section(
     profile: oracle.StabilityReport | None = None,
     cert: spectral.SpectralCertificate | None = None,
 ) -> dict:
-    """The conditions block for `candidate`, reusing its certificate `cert` if given."""
+    """The conditions block for `candidate`, reusing its certificate `cert`
+    if given, and the profile's local stability if `candidate` is its maximum cut."""
     if cert is None:
         cert = spectral.build_certificate(g, candidate)
+    profiled = profile is not None and candidate == profile.max_cut
+    gamma_local = profile.gamma_local if profiled else oracle.local_stability_gamma(g, candidate)
+    stats = weighted_degrees(g)
     basic, refined = spectral.spectral_gamma_requirement(g, cert.eigvec)
-    holds, margin = spectral.psd_sufficient_margin(g, candidate)
-    verdicts = spectral.family_condition_checks(g, candidate, profile)
-    gamma_local = oracle.local_stability_gamma(g, candidate)
+    holds, margin = spectral.psd_sufficient_margin(g, gamma_local, stats)
+    verdicts = spectral.family_condition_checks(g, gamma_local, stats, profile)
     capped = min(gamma_local, spectral.LOCAL_GAMMA_CAP)
-    stable_bound = spectral.stable_gw_bound(max(1.0, capped))
     total = g.total_weight
     gw: dict = {
         "gamma_local": _num(gamma_local),
         "ratio_bound": capped / (capped + 1.0),
-        "stable_bound": stable_bound,
+        "stable_bound": spectral.stable_gw_bound(max(1.0, capped)),
         "floor": spectral.GW_FLOOR,
-        "best": max(stable_bound, spectral.GW_FLOOR),
-        "tolerance_note": "ratio-dependent bound vs unconditional floor; max labeled 'best'",
     }
     if total > 0:
         r = cut_value(g, candidate) / total
@@ -263,11 +267,7 @@ def build_run_report(
             "oracle_limit": oracle_limit,
             "timing": timing,
         },
-        "tolerances": {
-            "tie_rel_tol": oracle.TIE_REL_TOL,
-            "psd_rel_tol": spectral.PSD_REL_TOL,
-            "note": "wall_ms is 0.0 when timing is disabled for reproducibility",
-        },
+        "tolerances": {"tie_rel_tol": oracle.TIE_REL_TOL, "psd_rel_tol": spectral.PSD_REL_TOL},
         "solvers": entries,
         "oracle": osec,
     }
@@ -293,9 +293,9 @@ def spectrum_report(g: WeightedGraph, path: str, limit: int) -> dict:
     profile = _attached_profile(g, limit)
     candidate = spectral.spectral_partition(g) if profile is None else profile.max_cut
     return {
-        "schema": "stablecut-spectrum-report/1",
+        "schema": "stablecut-spectrum-report/2",
         "instance": _instance(g, path),
-        "eigenvalues": np.linalg.eigvalsh(g.weights)[::-1].tolist(),
+        "eigenvalues": spectral.eigenvalues_of_w(g)[::-1].tolist(),
         "tolerances": {
             "psd_rel_tol": spectral.PSD_REL_TOL,
             "tie_rel_tol": oracle.TIE_REL_TOL,

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import oracle
 from .errors import DomainError, ValidationError
-from .graph import Cut, WeightedGraph, weighted_degrees
+from .graph import Cut, DegreeStats, WeightedGraph
 
 __all__ = [
     "PSD_REL_TOL",
@@ -20,8 +20,10 @@ __all__ = [
     "GW_FLOOR",
     "SpectralCertificate",
     "ConditionVerdict",
+    "eigendecompose",
     "eigen_smallest_two",
     "bottom_spectrum",
+    "eigenvalues_of_w",
     "spectral_partition",
     "build_diagonal_from_cut",
     "spectral_gamma_requirement",
@@ -52,19 +54,25 @@ def _as_sym(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def eigen_smallest_two(m: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Two smallest eigenvalues of a symmetric matrix plus the bottom eigenvector.
-
-    Dense LAPACK path (tridiagonalization + implicit QL); the returned vector
-    has unit norm and residual |Mu - lam*u|_inf <= 1e-9 * |M|_inf.
-    """
+def eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric matrix, ascending, with unit eigenvectors as
+    columns: the package's one eigensolve (dense LAPACK; each vector has
+    residual |Mu - lam*u|_inf <= 1e-9 * |M|_inf)."""
     m = _as_sym(m)
     if m.shape[0] == 0:
         raise ValidationError("matrix must be nonempty")
-    vals, vecs = np.linalg.eigh(m)
-    lam_n = float(vals[0])
-    lam_n1 = float(vals[1]) if m.shape[0] > 1 else float(vals[0])
-    return lam_n, vecs[:, 0].copy(), lam_n1
+    return np.linalg.eigh(m)
+
+
+def _bottom_two(vals: np.ndarray, vecs: np.ndarray) -> tuple[float, np.ndarray, float]:
+    return float(vals[0]), vecs[:, 0].copy(), float(vals[min(1, len(vals) - 1)])
+
+
+def eigen_smallest_two(m: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Two smallest eigenvalues of a symmetric matrix plus the bottom
+    eigenvector, read off eigendecompose(m); a 1x1 matrix repeats its one
+    eigenvalue."""
+    return _bottom_two(*eigendecompose(m))
 
 
 def _shifted(g: WeightedGraph, d: np.ndarray) -> np.ndarray:
@@ -74,16 +82,29 @@ def _shifted(g: WeightedGraph, d: np.ndarray) -> np.ndarray:
     return m
 
 
-def bottom_spectrum(g: WeightedGraph) -> tuple[float, np.ndarray, float]:
-    """eigen_smallest_two(W), solved once per graph and stored on it; the
-    eigenvector is shared and therefore read-only.  Nothing is replaced, so
-    threads sharing a graph at worst solve W twice and get the same bits."""
+def _spectrum_of_w(g: WeightedGraph) -> tuple[np.ndarray, tuple[float, np.ndarray, float]]:
+    """W's eigenvalues and bottom spectrum from one eigendecompose(W), stored
+    on the graph; both are shared and therefore read-only.  Nothing is
+    replaced, so threads sharing a graph at worst solve W twice and get the
+    same bits."""
     spectrum = g._spectra.get("W")
     if spectrum is None:
-        spectrum = eigen_smallest_two(g.weights)
-        spectrum[1].setflags(write=False)
-        g._spectra["W"] = spectrum
+        vals, vecs = eigendecompose(g.weights)
+        bottom = _bottom_two(vals, vecs)
+        vals.setflags(write=False)
+        bottom[1].setflags(write=False)
+        spectrum = g._spectra["W"] = (vals, bottom)
     return spectrum
+
+
+def bottom_spectrum(g: WeightedGraph) -> tuple[float, np.ndarray, float]:
+    """eigen_smallest_two(W), solved once per graph (see _spectrum_of_w)."""
+    return _spectrum_of_w(g)[1]
+
+
+def eigenvalues_of_w(g: WeightedGraph) -> np.ndarray:
+    """Every eigenvalue of W, ascending, from the same solve as bottom_spectrum."""
+    return _spectrum_of_w(g)[0]
 
 
 def _positive(u: np.ndarray) -> np.ndarray:
@@ -156,17 +177,19 @@ def _capped(gamma: float) -> float:
     return min(gamma, LOCAL_GAMMA_CAP)
 
 
-def psd_sufficient_margin(g: WeightedGraph, c: Cut) -> tuple[bool, float]:
-    """Margin 2*delta~*(gamma-1)/(gamma+1) + lam_n + lam_{n-1} for the cut c.
+def psd_sufficient_margin(
+    g: WeightedGraph, gamma_local: float, stats: DegreeStats
+) -> tuple[bool, float]:
+    """Margin 2*delta~*(gamma-1)/(gamma+1) + lam_n + lam_{n-1} for a cut c.
 
-    gamma is the local stability of c (capped when infinite) and the
-    eigenvalues are those of W itself.  A positive margin guarantees
+    gamma_local is oracle.local_stability_gamma(g, c), and gamma is it capped
+    when infinite; delta~ is stats.min_weighted, stats = weighted_degrees(g);
+    the eigenvalues are those of W itself.  A positive margin guarantees
     W + diag(build_diagonal_from_cut(g, c)) is positive semidefinite.
     """
-    gamma = _capped(oracle.local_stability_gamma(g, c))
-    delta_t = weighted_degrees(g).min_weighted
+    gamma = _capped(gamma_local)
     lam_n, _, lam_n1 = bottom_spectrum(g)
-    margin = 2.0 * delta_t * (gamma - 1.0) / (gamma + 1.0) + lam_n + lam_n1
+    margin = 2.0 * stats.min_weighted * (gamma - 1.0) / (gamma + 1.0) + lam_n + lam_n1
     return margin > 0, float(margin)
 
 
@@ -184,21 +207,23 @@ class ConditionVerdict:
 
 def family_condition_checks(
     g: WeightedGraph,
-    c: Cut,
+    gamma_local: float,
+    stats: DegreeStats,
     profile: oracle.StabilityReport | None = None,
 ) -> list[ConditionVerdict]:
     """Evaluate the graph-family conditions under which the shifted spectral
     route is guaranteed: equal weighted degrees, regular expanders, Cheeger
     expansion, and cut distinctness.
 
-    gamma is the local stability of c (capped when infinite); structural
+    gamma_local is oracle.local_stability_gamma(g, c) for the candidate cut
+    c, and gamma is it capped when infinite; stats = weighted_degrees(g).
+    W's eigenvalues all come from bottom_spectrum's solve.  Structural
     preconditions that fail mark the check not-applicable rather than false.
     The Cheeger and distinctness checks read the Cheeger constant and k* off
     the exact stability `profile`; without one they are not applicable.
     """
     verdicts: list[ConditionVerdict] = []
-    gamma = _capped(oracle.local_stability_gamma(g, c))
-    stats = weighted_degrees(g)
+    gamma = _capped(gamma_local)
     lam_n, _, lam_n1 = bottom_spectrum(g)
 
     wdeg = stats.weighted
@@ -218,23 +243,14 @@ def family_condition_checks(
     regular = g.is_simple() and equal_w and g.n > 1
     d = float(wdeg[0]) if regular else 0.0
     if regular:
-        vals = np.linalg.eigvalsh(g.weights)
-        lam2 = float(vals[-2])
-        if d - lam2 > 0:
-            rhs = (5.0 * d + lam2) / (d - lam2)
-            verdicts.append(
-                ConditionVerdict(
-                    "regular_expander", True, bool(gamma > rhs), gamma, float(rhs),
-                    {"degree": d, "lambda2": lam2},
-                )
+        lam2 = float(eigenvalues_of_w(g)[-2])
+        rhs = (5.0 * d + lam2) / (d - lam2) if d - lam2 > 0 else math.inf
+        verdicts.append(
+            ConditionVerdict(
+                "regular_expander", True, bool(gamma > rhs), gamma, float(rhs),
+                {"degree": d, "lambda2": lam2},
             )
-        else:
-            verdicts.append(
-                ConditionVerdict(
-                    "regular_expander", True, False, gamma, math.inf,
-                    {"degree": d, "lambda2": lam2},
-                )
-            )
+        )
     else:
         verdicts.append(ConditionVerdict("regular_expander", False, None))
 

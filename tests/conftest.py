@@ -1,28 +1,28 @@
 import numpy as np
 import pytest
 
-from stablecut import WeightedGraph
+from stablecut import WeightedGraph, loads_graph
 
 
 @pytest.fixture
 def k2():
-    return WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+    return loads_graph("2 1\n0 1 1\n")
 
 
 @pytest.fixture
 def p3():
-    return WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    return loads_graph("3 2\n0 1 1\n1 2 1\n")
 
 
 @pytest.fixture
 def c4():
-    return WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+    return loads_graph("4 4\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n")
 
 
 @pytest.fixture
 def triangle():
     # w01=2, w12=3, w02=1: max cut {1} vs {0,2} with value 5, gamma*=2
-    return WeightedGraph.from_edges(3, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 1.0)])
+    return loads_graph("3 3\n0 1 2\n1 2 3\n0 2 1\n")
 
 
 @pytest.fixture

@@ -11,12 +11,12 @@ import pytest
 
 from stablecut import (
     WeightDistribution, WeightedGraph, combinatorial, dualsdp, dumps_graph, gen_planted,
-    generators, graph, load_graph, oracle, report, stability_report,
+    generators, graph, load_graph, oracle, report, spectral, stability_report,
 )
 from stablecut import cli
 from stablecut.cli import main
 
-from conftest import complete_bipartite
+from conftest import complete_bipartite, random_weighted
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "stablecut", "schemas", "report.schema.json"
@@ -30,9 +30,8 @@ def _validate(doc: dict) -> None:
 
 
 def _write_triangle(tmp_path) -> str:
-    g = WeightedGraph.from_edges(3, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 1.0)])
     path = tmp_path / "tri.graph"
-    path.write_text(dumps_graph(g))
+    path.write_text("3 3\n0 1 2.0\n1 2 3.0\n0 2 1.0\n")
     return str(path)
 
 
@@ -94,9 +93,8 @@ def test_gen_amplify(tmp_path, capsys):
 
 
 def test_solve_all_agree_on_c4(tmp_path, capsys):
-    g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
     path = tmp_path / "c4.graph"
-    path.write_text(dumps_graph(g))
+    path.write_text("4 4\n0 1 1.0\n1 2 1.0\n2 3 1.0\n0 3 1.0\n")
     rc = main(["solve", "--solver", "all", "--no-timing", str(path)])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
@@ -333,7 +331,7 @@ def _strict_json_input(tmp_path, capsys, case: str) -> str:
     elif case == "cap_k44":  # W.sum() is exactly the cap
         g = WeightedGraph(complete_bipartite(4).weights * (graph.MAX_WEIGHT_SUM / 32))
     else:  # a weighted instance within a factor 2 of the cap
-        w = gen_planted(14, WeightDistribution.uniform(0.5, 1.5), 4.0, seed=2).graph.weights
+        w = gen_planted(14, WeightDistribution.parse("uniform:0.5:1.5"), 4.0, seed=2).graph.weights
         g = WeightedGraph(w * 2.0 ** math.floor(math.log2(graph.MAX_WEIGHT_SUM / w.sum())))
     path = tmp_path / f"{case}.graph"
     path.write_text(dumps_graph(g))
@@ -428,11 +426,8 @@ def test_profile_attaches_up_to_16_vertices(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_runs_greedy_once_per_component(tmp_path, capsys, monkeypatch):
-    g = WeightedGraph.from_edges(
-        7, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.5), (3, 4, 1.0), (4, 5, 0.5), (5, 6, 2.0)]
-    )
     path = tmp_path / "two.graph"
-    path.write_text(dumps_graph(g))
+    path.write_text("7 6\n0 1 1.0\n1 2 2.0\n0 2 1.5\n3 4 1.0\n4 5 0.5\n5 6 2.0\n")
     runs = []
     engine = combinatorial._greedy_engine
     monkeypatch.setattr(
@@ -558,10 +553,61 @@ def test_solve_runs_the_dual_once(tmp_path, capsys, monkeypatch):
 
 
 def _count_eigh(monkeypatch) -> list:
+    """Every matrix numpy's eigh or eigvalsh solves, in call order."""
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, solve=solve: calls.append(np.array(m)) or solve(m))
     return calls
+
+
+def _cycle(n: int) -> WeightedGraph:
+    w = np.roll(np.eye(n), 1, axis=1)
+    return WeightedGraph(w + w.T)
+
+
+@pytest.mark.parametrize("g", [_cycle(8), complete_bipartite(4)], ids=["C8", "K44"])
+def test_solve_and_spectrum_eigensolve_w_once(tmp_path, capsys, monkeypatch, g):
+    path = tmp_path / "regular.graph"
+    path.write_text(dumps_graph(g))
+    calls = _count_eigh(monkeypatch)
+    for argv in (["solve", "--solver", "all", "--no-timing", str(path)], ["spectrum", str(path)]):
+        calls.clear()
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # the graph is regular, so the expander check reads lambda_2 of W too
+        assert doc["conditions"]["families"][1]["applicable"]
+        assert sum(np.array_equal(m, g.weights) for m in calls) == 1
+
+
+def test_spectrum_eigenvalues_are_the_memoized_ones(tmp_path, capsys):
+    for g in (complete_bipartite(4), _cycle(7), random_weighted(9, 3)):
+        path = tmp_path / "g.graph"
+        path.write_text(dumps_graph(g))
+        assert main(["spectrum", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        _validate(doc)
+        memo = spectral.eigenvalues_of_w(load_graph(str(path)))
+        assert np.array(doc["eigenvalues"]).tobytes() == memo[::-1].tobytes()
+        expander = doc["conditions"]["families"][1]
+        if expander["applicable"]:  # regular: lambda_2 is the second largest
+            assert expander["detail"]["lambda2"] == doc["eigenvalues"][1]
+
+
+def test_conditions_block_computes_local_stability_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    gamma = oracle.local_stability_gamma
+    monkeypatch.setattr(oracle, "local_stability_gamma", lambda g, c: calls.append(g.n) or gamma(g, c))
+    for n in (12, 18):  # with the attached profile, then without one
+        assert main(["gen", "planted", "--n", str(n), "--gamma", "4", "-o", str(tmp_path)]) == 0
+        path = capsys.readouterr().out.strip()
+        for argv in (["solve", "--no-timing", path], ["spectrum", path]):
+            calls.clear()
+            assert main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert calls == [n]
+            if argv[0] == "solve" and n <= 16:  # the profile's own value
+                assert doc["conditions"]["gw"]["gamma_local"] == doc["oracle"]["gamma_local"]
 
 
 def test_solve_eigensolves_each_matrix_once(tmp_path, capsys, monkeypatch):
@@ -577,7 +623,7 @@ def test_solve_eigensolves_each_matrix_once(tmp_path, capsys, monkeypatch):
         assert doc["solvers"]["dual"]["certified"] and doc["solvers"]["dual"]["iterations"] == 1
         # W, the first dual iterate and the certified cut's kernel matrix,
         # whose certificate the dual hands to the conditions block
-        assert calls == [int(n)] * 3
+        assert [len(m) for m in calls] == [int(n)] * 3
         # each op re-solves: nothing is remembered across graphs
         assert main(argv) == 0
         assert len(calls) == 6
@@ -614,7 +660,8 @@ def test_uncertified_solve_eigensolves_nothing_after_the_dual(tmp_path, capsys, 
     # lambda_min < 0 (a feasible iterate's step keeps its eigenpair), and one
     # per cut that raised the dual's lower bound; the conditions block reuses
     # the best cut's certificate
-    assert calls == [12] * (1 + 1 + sum(lam < 0 for lam in lams[:-1]) + len(certificates))
+    solves = 1 + 1 + sum(lam < 0 for lam in lams[:-1]) + len(certificates)
+    assert [len(m) for m in calls] == [12] * solves
     assert at_return == [len(calls)]
 
 

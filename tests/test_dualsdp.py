@@ -15,6 +15,7 @@ from stablecut import (
     build_certificate,
     cut_value,
     gen_planted,
+    loads_graph,
     polish_cut,
     solve_min_trace,
 )
@@ -66,7 +67,7 @@ def test_extended_solve_c4_certified(c4):
 
 
 def test_planted_instance_certified_and_exact():
-    inst = gen_planted(14, WeightDistribution.uniform(0.5, 1.5), 4.0, seed=1)
+    inst = gen_planted(14, WeightDistribution.parse("uniform:0.5:1.5"), 4.0, seed=1)
     sol = solve_min_trace(inst.graph)
     bf, _, _ = brute_force_max_cut(inst.graph)
     assert sol.converged
@@ -135,7 +136,7 @@ def graphs_and_cuts(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(graphs_and_cuts())
-@example((WeightedGraph.from_edges(3, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 1.0)]), Cut(np.ones(3))))
+@example((loads_graph("3 3\n0 1 2\n1 2 3\n0 2 1\n"), Cut(np.ones(3))))
 @example((WeightedGraph(np.zeros((1, 1))), Cut(np.ones(1))))
 def test_polish_reaches_local_optimum(gc):
     g, start = gc
@@ -143,7 +144,8 @@ def test_polish_reaches_local_optimum(gc):
     base = cut_value(g, polished)
     assert base >= cut_value(g, start)
     for v in range(g.n):
-        assert cut_value(g, polished.flipped(v)) <= base + 1e-12 * max(1.0, g.total_weight)
+        flipped = Cut(np.where(np.arange(g.n) == v, -polished.signs, polished.signs))
+        assert cut_value(g, flipped) <= base + 1e-12 * max(1.0, g.total_weight)
 
 
 @settings(max_examples=15, deadline=None)
@@ -189,7 +191,7 @@ def _solved(rows) -> list[int]:
 
 
 def test_polish_runs_once_per_distinct_rounding(monkeypatch):
-    g = gen_planted(12, WeightDistribution.uniform(0.5, 1.5), 1.0, seed=1).graph
+    g = gen_planted(12, WeightDistribution.parse("uniform:0.5:1.5"), 1.0, seed=1).graph
     polish = dualsdp.polish_cut
 
     def run() -> tuple[list, list]:

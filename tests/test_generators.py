@@ -38,10 +38,10 @@ def _sha(g) -> str:
 
 
 def test_distribution_parsing():
-    assert WeightDistribution.parse("uniform:0.5:1.5") == WeightDistribution.uniform(0.5, 1.5)
-    assert WeightDistribution.parse("constant:2") == WeightDistribution.constant(2.0)
+    assert WeightDistribution.parse("uniform:0.5:1.5") == WeightDistribution("uniform", (0.5, 1.5))
+    assert WeightDistribution.parse("constant:2") == WeightDistribution("constant", (2.0,))
     d = WeightDistribution.parse("two_point:0.25:1:3")
-    assert d == WeightDistribution.two_point(0.25, 1.0, 3.0)
+    assert d == WeightDistribution("two_point", (0.25, 1.0, 3.0))
     assert d.spec() == "two_point:0.25:1.0:3.0"
     with pytest.raises(ValidationError):
         WeightDistribution.parse("gauss:0:1")
@@ -52,13 +52,13 @@ def test_distribution_parsing():
 
 
 def test_planted_k2_trivial():
-    inst = gen_planted(2, WeightDistribution.constant(1.0), 3.0, seed=0)
+    inst = gen_planted(2, WeightDistribution.parse("constant:1"), 3.0, seed=0)
     assert inst.graph.weights[0, 1] == 3.0
     assert inst.planted.n == 2
 
 
 def test_planted_constant_n4():
-    inst = gen_planted(4, WeightDistribution.constant(1.0), 2.0, seed=5)
+    inst = gen_planted(4, WeightDistribution.parse("constant:1"), 2.0, seed=5)
     w = inst.graph.weights
     s = inst.planted.signs
     crossing = s[:, None] != s[None, :]
@@ -71,7 +71,7 @@ def test_planted_constant_n4():
 
 
 def test_planted_oracle_check_n12():
-    inst = gen_planted(12, WeightDistribution.uniform(0.5, 1.5), 4.0, seed=7)
+    inst = gen_planted(12, WeightDistribution.parse("uniform:0.5:1.5"), 4.0, seed=7)
     bf, _, unique = brute_force_max_cut(inst.graph)
     assert bf == inst.planted
     assert unique
@@ -79,30 +79,30 @@ def test_planted_oracle_check_n12():
 
 def test_planted_balanced_sides():
     for seed in range(6):
-        inst = gen_planted(10, WeightDistribution.uniform(0.5, 1.5), 2.0, seed=seed)
+        inst = gen_planted(10, WeightDistribution.parse("uniform:0.5:1.5"), 2.0, seed=seed)
         assert int((inst.planted.signs == 1).sum()) == 5
 
 
 def test_planted_constant_unique_max_for_gamma_above_one():
     for n in (6, 10, 14):
-        inst = gen_planted(n, WeightDistribution.constant(1.0), 1.5, seed=n)
+        inst = gen_planted(n, WeightDistribution.parse("constant:1"), 1.5, seed=n)
         bf, _, unique = brute_force_max_cut(inst.graph)
         assert unique and bf == inst.planted
 
 
 def test_planted_rejects_odd_n():
     with pytest.raises(ValidationError):
-        gen_planted(11, WeightDistribution.constant(1.0), 2.0, seed=0)
+        gen_planted(11, WeightDistribution.parse("constant:1"), 2.0, seed=0)
 
 
 def test_golden_outputs_pinned():
-    dist = WeightDistribution.uniform(0.5, 1.5)
+    dist = WeightDistribution.parse("uniform:0.5:1.5")
     for seed in (1, 2, 3):
         inst = gen_planted(8, dist, 2.0, seed=seed)
         assert _sha(inst.graph) == GOLDEN[("planted", seed)]
         g = gen_gnp_simple(10, 0.3, seed=seed)
         assert _sha(g) == GOLDEN[("gnp", seed)]
-    inst = gen_planted(6, WeightDistribution.two_point(0.25, 1.0, 2.0), 3.0, seed=9)
+    inst = gen_planted(6, WeightDistribution.parse("two_point:0.25:1:2"), 3.0, seed=9)
     assert _sha(inst.graph) == GOLDEN[("two_point", 9)]
 
 

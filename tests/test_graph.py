@@ -69,12 +69,12 @@ def test_cut_value_dimension_error(k2):
 def test_weighted_degrees(k2, triangle, c4):
     s = weighted_degrees(k2)
     assert s.weighted.tolist() == [1.0, 1.0]
-    assert s.min_weighted == 1.0 and s.max_simple == 1 and s.min_simple == 1
+    assert s.min_weighted == 1.0 and s.min_simple == 1
     s = weighted_degrees(triangle)
     assert s.weighted.tolist() == [3.0, 5.0, 4.0]
     assert s.min_weighted == 3.0
     s = weighted_degrees(c4)
-    assert s.max_simple == 2 and s.min_simple == 2
+    assert s.min_simple == 2
 
 
 def test_apply_perturbation(k2, triangle):

@@ -11,9 +11,11 @@ from stablecut import (
     Cut,
     SizeLimitError,
     ValidationError,
+    WeightDistribution,
     WeightedGraph,
     brute_force_max_cut,
     cut_value,
+    gen_planted,
     local_stability_gamma,
     oracle,
     stability_report,
@@ -285,7 +287,7 @@ def small_graphs(draw):
 @given(g=small_graphs())
 @example(g=WeightedGraph(np.zeros((1, 1))))
 @example(g=WeightedGraph(np.zeros((2, 2))))
-@example(g=WeightedGraph.from_edges(2, [(0, 1, 0.7)]))
+@example(g=WeightedGraph(np.array([[0.0, 0.7], [0.7, 0.0]])))
 def test_matches_reference_enumerator(block_bits, g):
     ref = reference_profile(g)
     # tiny blocks spread n <= 9 over many blocks, as large n does
@@ -303,3 +305,26 @@ def test_matches_reference_enumerator(block_bits, g):
             assert getattr(rep, key) == ref[key]
         else:
             assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-12, abs=1e-300)
+
+
+def _cut_terms(g: WeightedGraph, s: np.ndarray, mask: int) -> list[float]:
+    """The exact terms as a Cut and Python lists give them: T's sides from
+    its validated Cut, each sum over a list of the edge weights."""
+    iu, ju = np.nonzero(np.triu(g.support))
+    wv, s_e = g.weights[iu, ju], s[iu] != s[ju]
+    t = oracle._cut_for_mask(g.n, mask).signs
+    t_e = t[iu] != t[ju]
+    pos, neg = wv[s_e & ~t_e], wv[t_e & ~s_e]
+    return [math.fsum(x) for x in (pos, neg, [*pos, *-neg], [*pos, *neg])]
+
+
+@pytest.mark.parametrize(
+    "dist", ["constant:0.7", "constant:0.1", "constant:1", "two_point:0.3:0.5:1.5"]
+)
+@pytest.mark.parametrize("n, gamma, seed", [(6, 1.3, 0), (10, 3.0, 28), (12, 2.0, 5)])
+def test_exact_terms_match_the_cut_formula(dist, n, gamma, seed):
+    g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed).graph
+    s = stability_report(g).max_cut.signs
+    terms = oracle._exact_terms(g, s)
+    for mask in range(1 << (g.n - 1)):
+        assert terms(mask) == _cut_terms(g, s, mask)

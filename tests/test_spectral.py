@@ -27,6 +27,7 @@ from stablecut import (
     spectral_partition,
     stability_report,
     stable_gw_bound,
+    weighted_degrees,
 )
 from stablecut import spectral
 
@@ -136,12 +137,14 @@ def test_gamma_requirement_zero_entry_is_meaningless(p3):
 
 
 def test_margin_examples(k2, c4, unit_triangle):
-    ok, margin = psd_sufficient_margin(c4, Cut(np.array([1, -1, 1, -1])))
-    assert ok and margin == pytest.approx(2.0, rel=1e-9)
-    ok, margin = psd_sufficient_margin(k2, Cut(np.array([1, -1])))
-    assert ok and margin == pytest.approx(2.0, rel=1e-9)
+    for g, cut in ((c4, Cut(np.array([1, -1, 1, -1]))), (k2, Cut(np.array([1, -1])))):
+        gamma = local_stability_gamma(g, cut)
+        ok, margin = psd_sufficient_margin(g, gamma, weighted_degrees(g))
+        assert ok and margin == pytest.approx(2.0, rel=1e-9)
     cut, _, _ = brute_force_max_cut(unit_triangle)
-    ok, margin = psd_sufficient_margin(unit_triangle, cut)
+    gamma = local_stability_gamma(unit_triangle, cut)
+    assert gamma == 1.0
+    ok, margin = psd_sufficient_margin(unit_triangle, gamma, weighted_degrees(unit_triangle))
     # local stability of a tie instance is 1, so the degree term vanishes
     # and the two bottom eigenvalues -1, -1 push the margin to -2
     assert not ok and margin == pytest.approx(-2.0, rel=1e-9)
@@ -153,7 +156,7 @@ def test_margin_soundness(n, seed):
     """Positive margin at the true max cut implies the shifted matrix is PSD."""
     g = random_weighted(n, seed)
     cut, _, _ = brute_force_max_cut(g)
-    ok, _ = psd_sufficient_margin(g, cut)
+    ok, _ = psd_sufficient_margin(g, local_stability_gamma(g, cut), weighted_degrees(g))
     if ok:
         assert build_certificate(g, cut).psd
 
@@ -191,7 +194,8 @@ def test_rounding_key_equal_exactly_when_sign_cuts_are(pair):
 
 def test_family_checks_on_c4(c4):
     cut, _, _ = brute_force_max_cut(c4)
-    verdicts = {v.name: v for v in family_condition_checks(c4, cut, stability_report(c4))}
+    gamma, stats = local_stability_gamma(c4, cut), weighted_degrees(c4)
+    verdicts = {v.name: v for v in family_condition_checks(c4, gamma, stats, stability_report(c4))}
     v = verdicts["equal_degree_spectral_ratio"]
     assert v.applicable and v.holds
     assert v.lhs == pytest.approx(0.0, abs=1e-12)
@@ -204,7 +208,7 @@ def test_family_checks_on_c4(c4):
     assert v.applicable
     assert v.detail["h_ge_k"] is True
     # the exact quantities come only from a profile
-    verdicts = {v.name: v for v in family_condition_checks(c4, cut)}
+    verdicts = {v.name: v for v in family_condition_checks(c4, gamma, stats)}
     assert verdicts["regular_expander"].applicable
     assert not verdicts["cheeger_expansion"].applicable
     assert not verdicts["distinctness"].applicable
@@ -212,7 +216,8 @@ def test_family_checks_on_c4(c4):
 
 def test_family_checks_not_applicable_on_weighted(triangle):
     cut, _, _ = brute_force_max_cut(triangle)
-    verdicts = {v.name: v for v in family_condition_checks(triangle, cut)}
+    gamma = local_stability_gamma(triangle, cut)
+    verdicts = {v.name: v for v in family_condition_checks(triangle, gamma, weighted_degrees(triangle))}
     assert not verdicts["regular_expander"].applicable
     assert not verdicts["cheeger_expansion"].applicable
 
@@ -254,8 +259,8 @@ def test_local_stability_feeds_gw(c4):
 
 def _count_solves(monkeypatch) -> list:
     solved = []
-    solve = spectral.eigen_smallest_two
-    monkeypatch.setattr(spectral, "eigen_smallest_two", lambda m: solved.append(m) or solve(m))
+    solve = spectral.eigendecompose
+    monkeypatch.setattr(spectral, "eigendecompose", lambda m: solved.append(m) or solve(m))
     return solved
 
 
@@ -267,6 +272,9 @@ def test_bottom_spectrum_is_eigen_smallest_two_of_w(n, seed):
     for _ in range(2):
         lam, u, lam1 = bottom_spectrum(g)
         assert (lam, lam1) == (ref_lam, ref_lam1)
+        vals = spectral.eigenvalues_of_w(g)
+        assert (vals[0], vals[min(1, n - 1)]) == (lam, lam1)
+        assert vals.tolist() == sorted(vals.tolist())
         assert np.array_equal(u, ref_u)
 
 
@@ -276,11 +284,15 @@ def test_bottom_spectrum_solves_w_once_per_graph(monkeypatch, c4):
     first = bottom_spectrum(c4)
     assert bottom_spectrum(c4) is first
     assert spectral_partition(c4) == cut
-    psd_sufficient_margin(c4, cut)
-    family_condition_checks(c4, cut)
+    psd_sufficient_margin(c4, math.inf, weighted_degrees(c4))
+    # C_4 is regular, so the expander check reads lambda_2 as well
+    verdicts = family_condition_checks(c4, math.inf, weighted_degrees(c4))
+    assert verdicts[1].detail["lambda2"] == spectral.eigenvalues_of_w(c4)[-2]
     assert len(solved) == 1
     with pytest.raises(ValueError):
         first[1][0] = 0.0  # shared between callers, so read-only
+    with pytest.raises(ValueError):
+        spectral.eigenvalues_of_w(c4)[0] = 0.0
     # another graph with equal weights solves its own
     bottom_spectrum(WeightedGraph(c4.weights.copy()))
     assert len(solved) == 2
@@ -304,7 +316,9 @@ def test_bottom_spectrum_shared_between_threads():
 
     def results(g: WeightedGraph) -> tuple:
         lam, u, lam1 = bottom_spectrum(g)
-        return lam, u.tobytes(), lam1, spectral_partition(g), psd_sufficient_margin(g, cut)
+        margin = psd_sufficient_margin(g, local_stability_gamma(g, cut), weighted_degrees(g))
+        vals = spectral.eigenvalues_of_w(g).tobytes()
+        return lam, u.tobytes(), lam1, vals, spectral_partition(g), margin
 
     expected = results(WeightedGraph(weights))
     graphs = [WeightedGraph(weights) for _ in range(50)]
