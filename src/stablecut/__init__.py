@@ -14,7 +14,6 @@ from .dualsdp import (
 )
 from .errors import (
     DimensionError,
-    DomainError,
     SizeLimitError,
     StableCutError,
     ValidationError,
@@ -53,11 +52,9 @@ from .spectral import (
     build_diagonal_from_cut,
     eigen_smallest_two,
     family_condition_checks,
-    gw_bound,
     psd_sufficient_margin,
     spectral_gamma_requirement,
     spectral_partition,
-    stable_gw_bound,
 )
 
 __version__ = "0.1.0"

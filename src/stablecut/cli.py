@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from . import combinatorial, dualsdp, generators, oracle, report, spectral
-from .errors import DomainError, SizeLimitError, ValidationError
+from .errors import SizeLimitError, ValidationError
 from .graph import MAX_FILE_VERTICES, WeightedGraph, _check_file_vertices, load_graph, save_graph
 
 EXIT_OK = 0
@@ -409,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (ValidationError, DomainError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -18,10 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Cut, WeightedGraph, _cut_quadratic, _side_weights
+from .graph import Cut, WeightedGraph, _side_weights
 from .spectral import (
     SpectralCertificate, _rounding_key, _shifted, _sign_cut, build_certificate,
-    eigen_smallest_two,
+    build_diagonal_from_cut, eigen_smallest_two,
 )
 
 __all__ = [
@@ -38,10 +38,11 @@ DEFAULT_MAX_ITER = 5000
 class DualSolution:
     """Best feasible diagonal found, with its duality gap and the best cut.
 
-    gap = trace - lower_bound, where lower_bound is the value of best_cut;
-    it is nonnegative up to roundoff, and converged = True (a gap within
-    tolerance) proves best_cut maximal.  certificate is best_cut's, as
-    spectral.build_certificate computes it.
+    gap = trace - lower_bound, where lower_bound = -c'Wc for best_cut's sign
+    vector c, summed off the kernel diagonal its certificate holds
+    (certificate.diag_shift); it is nonnegative up to roundoff, and
+    converged = True (a gap within tolerance) proves best_cut maximal.
+    certificate is best_cut's, as spectral.build_certificate computes it.
     """
 
     d: np.ndarray
@@ -113,17 +114,18 @@ def solve_min_trace(
     def consider_cut(rounded: Cut) -> None:
         nonlocal lower, best_cut, certificate, best_d, best_trace, best_lambda
         cut = polish_cut(g, rounded)
-        val = _cut_quadratic(g, cut)
+        dc = build_diagonal_from_cut(g, cut)
+        val = float(dc.sum())
         if val <= lower:
             return
         lower = val
         best_cut = cut
         # The kernel diagonal of this cut is the tightest certificate it can
         # get; adopt it whenever it is (restorably) feasible and better.
-        certificate = build_certificate(g, cut)
-        dc, lam = certificate.diag_shift, certificate.lambda_n
+        certificate = build_certificate(g, cut, dc)
+        lam = certificate.lambda_n
         shift = max(0.0, -lam)
-        trace_c = float(dc.sum()) + n * shift
+        trace_c = val + n * shift
         if trace_c < best_trace:
             best_d = dc + shift
             best_trace = trace_c

@@ -15,7 +15,3 @@ class DimensionError(ValidationError):
 
 class SizeLimitError(StableCutError):
     """Instance exceeds the exhaustive-enumeration limit."""
-
-
-class DomainError(StableCutError, ValueError):
-    """Scalar argument outside its mathematical domain."""

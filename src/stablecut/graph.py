@@ -143,23 +143,31 @@ class DegreeStats:
 
 
 def cut_value(g: WeightedGraph, c: Cut) -> float:
-    """Total weight of edges crossing the cut."""
+    """Total weight of edges crossing the cut: half the sum of every vertex's
+    weight to the opposite side (see _side_weights)."""
     if c.n != g.n:
         raise DimensionError(f"cut has {c.n} entries for a {g.n}-vertex graph")
-    return float((g.weights.sum() + _cut_quadratic(g, c)) / 4.0)
-
-
-def _cut_quadratic(g: WeightedGraph, c: Cut) -> float:
-    """-c'Wc, i.e. 2 * (cut weight - uncut weight)."""
-    s = c.as_float()
-    return float(-(s @ g.weights @ s))
+    return float(_side_weights(g, c.signs)[1].sum() / 2.0)
 
 
 def _side_weights(g: WeightedGraph, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each vertex's weight to its own side and to the opposite side of the
-    cut given by the +/-1 float vector s."""
-    opposite = (g.weights * (s[:, None] * s[None, :] < 0)).sum(axis=1)
-    return g.weights.sum(axis=1) - opposite, opposite
+    cut given by the +/-1 vector s.  Every cut quantity is read off these:
+    the cut value, local stability, the kernel diagonal and polishing gains.
+
+    Both come from one product of W with the two sides' indicator columns,
+    so each entry is a sum of nonnegative weights: never negative, and
+    exactly 0 for a vertex with no neighbour on that side (the bipartition of
+    a bipartite graph has own == 0 everywhere, so its local stability is
+    +inf).  The shorter own = (deg - d) / 2, with d = opposite - own from
+    W @ s, subtracts two rounded sums and loses those exact zeros.
+    """
+    pos = s > 0
+    sides = np.empty((pos.shape[0], 2))
+    sides[:, 0], sides[:, 1] = pos, ~pos
+    to_side = g.weights @ sides  # columns: weight to the s > 0 side, to the s < 0 side
+    own = np.where(pos, to_side[:, 0], to_side[:, 1])
+    return own, np.where(pos, to_side[:, 1], to_side[:, 0])
 
 
 def weighted_degrees(g: WeightedGraph) -> DegreeStats:

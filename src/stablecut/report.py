@@ -14,8 +14,7 @@ skipped oracle section is explicit.
 The run report is O(n) in size, and no field repeats another: a greedy
 step's index is its place in the trace and its component sizes are rebuilt
 from the trace (see combinatorial.find_max_cut_greedy), the dual's
-convergence is `certified`, its gap tolerance is `parameters.tol`, and the
-larger of the GW block's `stable_bound` and `floor` is left to the reader.
+convergence is `certified`, and its gap tolerance is `parameters.tol`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from . import combinatorial, dualsdp, oracle, spectral
 from .errors import ValidationError
 from .graph import Cut, WeightedGraph, cut_value, weighted_degrees
 
-SCHEMA_ID = "stablecut-run-report/4"
+SCHEMA_ID = "stablecut-run-report/5"
 SOLVERS = ("greedy", "contract", "spectral", "dual", "oracle")
 
 # Solve and spectrum attach the exact oracle automatically up to this size.
@@ -184,19 +183,9 @@ def conditions_section(
     holds, margin = spectral.psd_sufficient_margin(g, gamma_local, stats)
     verdicts = spectral.family_condition_checks(g, gamma_local, stats, profile)
     capped = min(gamma_local, spectral.LOCAL_GAMMA_CAP)
-    total = g.total_weight
-    gw: dict = {
+    return {
         "gamma_local": _num(gamma_local),
         "ratio_bound": capped / (capped + 1.0),
-        "stable_bound": spectral.stable_gw_bound(max(1.0, capped)),
-        "floor": spectral.GW_FLOOR,
-    }
-    if total > 0:
-        r = cut_value(g, candidate) / total
-        if 0.5 <= r <= 1.0:
-            gw["achieved_ratio"] = r
-            gw["achieved_bound"] = spectral.gw_bound(r)
-    return {
         "certificate": {
             "lambda_n": cert.lambda_n,
             "lambda_n_minus_1": cert.lambda_n_minus_1,
@@ -207,7 +196,6 @@ def conditions_section(
         "spectral_ratio": {"basic": _num(basic), "refined": _num(refined)},
         "psd_margin": {"holds": holds, "margin": margin},
         "families": [_verdict_json(v) for v in verdicts],
-        "gw": gw,
     }
 
 
@@ -293,7 +281,7 @@ def spectrum_report(g: WeightedGraph, path: str, limit: int) -> dict:
     profile = _attached_profile(g, limit)
     candidate = spectral.spectral_partition(g) if profile is None else profile.max_cut
     return {
-        "schema": "stablecut-spectrum-report/2",
+        "schema": "stablecut-spectrum-report/3",
         "instance": _instance(g, path),
         "eigenvalues": spectral.eigenvalues_of_w(g)[::-1].tolist(),
         "tolerances": {

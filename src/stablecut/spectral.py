@@ -1,6 +1,6 @@
 """Spectral partitioning, diagonal shifts, PSD certificates, and the
 sufficient-condition checkers for when the spectral route provably solves
-Max-Cut, plus the Goemans-Williamson bound specialization to stable inputs.
+Max-Cut.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .errors import DomainError, ValidationError
-from .graph import Cut, DegreeStats, WeightedGraph
+from .errors import ValidationError
+from .graph import Cut, DegreeStats, WeightedGraph, _side_weights
 
 __all__ = [
     "PSD_REL_TOL",
     "LOCAL_GAMMA_CAP",
-    "GW_FLOOR",
     "SpectralCertificate",
     "ConditionVerdict",
     "eigendecompose",
@@ -30,17 +29,12 @@ __all__ = [
     "psd_sufficient_margin",
     "family_condition_checks",
     "build_certificate",
-    "gw_bound",
-    "stable_gw_bound",
 ]
 
 PSD_REL_TOL = 1e-9
 # Infinite local stability saturates (gamma-1)/(gamma+1) at 1; the cap keeps
 # the arithmetic finite and is numerically inert.
 LOCAL_GAMMA_CAP = 1e12
-# Unconditional Goemans-Williamson guarantee, printed alongside the
-# ratio-dependent bound.
-GW_FLOOR = 0.8786
 
 
 def _as_sym(m: np.ndarray) -> np.ndarray:
@@ -135,10 +129,10 @@ def build_diagonal_from_cut(g: WeightedGraph, c: Cut) -> np.ndarray:
     Chosen so the cut's sign vector lies in the kernel of W + diag(d)
     exactly; trace(d) = 2 * (cut weight - uncut weight).
     """
-    s = c.as_float()
-    if s.shape[0] != g.n:
+    if c.n != g.n:
         raise ValidationError(f"cut has {c.n} entries for a {g.n}-vertex graph")
-    return -s * (g.weights @ s)
+    own, opposite = _side_weights(g, c.signs)
+    return opposite - own
 
 
 def spectral_gamma_requirement(
@@ -301,9 +295,13 @@ class SpectralCertificate:
     residual: float
 
 
-def build_certificate(g: WeightedGraph, c: Cut) -> SpectralCertificate:
-    """Certificate for c: kernel diagonal, bottom spectrum, PSD flag, residual."""
-    d = build_diagonal_from_cut(g, c)
+def build_certificate(
+    g: WeightedGraph, c: Cut, d: np.ndarray | None = None
+) -> SpectralCertificate:
+    """Certificate for c: kernel diagonal, bottom spectrum, PSD flag, residual.
+    d is c's kernel diagonal (build_diagonal_from_cut) if already computed."""
+    if d is None:
+        d = build_diagonal_from_cut(g, c)
     m = _shifted(g, d)
     lam_n, u, lam_n1 = eigen_smallest_two(m)
     residual = float(np.abs(m @ c.as_float()).max()) if g.n else 0.0
@@ -316,16 +314,3 @@ def build_certificate(g: WeightedGraph, c: Cut) -> SpectralCertificate:
         residual=residual,
     )
 
-
-def gw_bound(r: float) -> float:
-    """Approximation-ratio lower bound arccos(1 - 2r) / (pi * r) for cut ratio r."""
-    if not 0.5 <= r <= 1.0:
-        raise DomainError(f"cut ratio must lie in [1/2, 1], got {r}")
-    return math.acos(1.0 - 2.0 * r) / (math.pi * r)
-
-
-def stable_gw_bound(gamma: float) -> float:
-    """gw_bound at the cut ratio gamma/(gamma+1) implied by local stability."""
-    if gamma < 1.0:
-        raise DomainError(f"gamma must be >= 1, got {gamma}")
-    return gw_bound(gamma / (gamma + 1.0))

