@@ -28,14 +28,12 @@ from .generators import (
 )
 from .graph import (
     Cut,
-    DegreeStats,
     WeightedGraph,
     cut_value,
     dumps_graph,
     load_graph,
     loads_graph,
     save_graph,
-    weighted_degrees,
 )
 from .oracle import (
     DEFAULT_ENUM_LIMIT,
@@ -53,7 +51,6 @@ from .spectral import (
     eigen_smallest_two,
     family_condition_checks,
     psd_sufficient_margin,
-    spectral_gamma_requirement,
     spectral_partition,
 )
 

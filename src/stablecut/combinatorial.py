@@ -31,7 +31,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ValidationError
-from .graph import Cut, WeightedGraph, weighted_degrees
+from .graph import Cut, WeightedGraph
 
 __all__ = [
     "MergeStep",
@@ -227,8 +227,8 @@ def high_degree_solve(g: WeightedGraph) -> HighDegreeResult:
     if not g.is_simple():
         raise ValidationError("high-degree solver requires a simple (unit-weight) graph")
     n = g.n
-    stats = weighted_degrees(g)
-    gamma = 2.0 * n / stats.min_simple if stats.min_simple > 0 else 2.0 * n
+    delta = int(g.support.sum(axis=1).min()) if n else 0
+    gamma = 2.0 * n / delta if delta > 0 else 2.0 * n
     h = build_conflict_graph(g, gamma)
     comps = _support_components(h)
     c = len(comps)

@@ -1,4 +1,4 @@
-"""Immutable weighted-graph model: cuts, degrees, file format.
+"""Immutable weighted-graph model: cuts and the file format.
 
 A Max-Cut instance is a symmetric nonnegative weight matrix with zero
 diagonal.  All operations here are pure functions over immutable values, so
@@ -20,9 +20,7 @@ __all__ = [
     "MAX_WEIGHT_SUM",
     "WeightedGraph",
     "Cut",
-    "DegreeStats",
     "cut_value",
-    "weighted_degrees",
     "load_graph",
     "save_graph",
     "loads_graph",
@@ -133,20 +131,9 @@ class Cut:
         return hash(self.signs.tobytes())
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    """Weighted degrees plus the least weighted and support degrees."""
-
-    weighted: np.ndarray = field(repr=False)
-    min_weighted: float
-    min_simple: int
-
-
 def cut_value(g: WeightedGraph, c: Cut) -> float:
     """Total weight of edges crossing the cut: half the sum of every vertex's
     weight to the opposite side (see _side_weights)."""
-    if c.n != g.n:
-        raise DimensionError(f"cut has {c.n} entries for a {g.n}-vertex graph")
     return float(_side_weights(g, c.signs)[1].sum() / 2.0)
 
 
@@ -161,25 +148,17 @@ def _side_weights(g: WeightedGraph, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a bipartite graph has own == 0 everywhere, so its local stability is
     +inf).  The shorter own = (deg - d) / 2, with d = opposite - own from
     W @ s, subtracts two rounded sums and loses those exact zeros.
+
+    An s of the wrong length raises DimensionError, so all of those callers do.
     """
+    if s.shape[0] != g.n:
+        raise DimensionError(f"cut has {s.shape[0]} entries for a {g.n}-vertex graph")
     pos = s > 0
     sides = np.empty((pos.shape[0], 2))
     sides[:, 0], sides[:, 1] = pos, ~pos
     to_side = g.weights @ sides  # columns: weight to the s > 0 side, to the s < 0 side
     own = np.where(pos, to_side[:, 0], to_side[:, 1])
     return own, np.where(pos, to_side[:, 1], to_side[:, 0])
-
-
-def weighted_degrees(g: WeightedGraph) -> DegreeStats:
-    """Row sums of the weight matrix and their minimum, and the least support degree."""
-    w = g.weights.sum(axis=1)
-    if g.n == 0:
-        return DegreeStats(_frozen(w), 0.0, 0)
-    return DegreeStats(
-        weighted=_frozen(w),
-        min_weighted=float(w.min()),
-        min_simple=int(g.support.sum(axis=1).min()),
-    )
 
 
 # --- graph file format -------------------------------------------------

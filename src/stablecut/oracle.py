@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, SizeLimitError, ValidationError
+from .errors import SizeLimitError, ValidationError
 from .graph import Cut, WeightedGraph, _side_weights
 
 __all__ = [
@@ -247,8 +247,6 @@ def local_stability_gamma(g: WeightedGraph, c: Cut) -> float:
     The graph is gamma-locally stable w.r.t. c exactly for gamma below the
     returned value.  A vertex with no same-side weight contributes +inf.
     """
-    if c.n != g.n:
-        raise DimensionError(f"cut has {c.n} entries for a {g.n}-vertex graph")
     own, opposite = _side_weights(g, c.as_float())
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(own > 0, opposite / np.where(own > 0, own, 1.0), np.inf)

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import combinatorial, dualsdp, oracle, spectral
 from .errors import ValidationError
-from .graph import Cut, WeightedGraph, cut_value, weighted_degrees
+from .graph import Cut, WeightedGraph, cut_value
 
-SCHEMA_ID = "stablecut-run-report/5"
+SCHEMA_ID = "stablecut-run-report/6"
 SOLVERS = ("greedy", "contract", "spectral", "dual", "oracle")
 
 # Solve and spectrum attach the exact oracle automatically up to this size.
@@ -178,10 +178,9 @@ def conditions_section(
         cert = spectral.build_certificate(g, candidate)
     profiled = profile is not None and candidate == profile.max_cut
     gamma_local = profile.gamma_local if profiled else oracle.local_stability_gamma(g, candidate)
-    stats = weighted_degrees(g)
-    basic, refined = spectral.spectral_gamma_requirement(g, cert.eigvec)
-    holds, margin = spectral.psd_sufficient_margin(g, gamma_local, stats)
-    verdicts = spectral.family_condition_checks(g, gamma_local, stats, profile)
+    degrees = g.weights.sum(axis=1)
+    holds, margin = spectral.psd_sufficient_margin(g, gamma_local, degrees)
+    verdicts = spectral.family_condition_checks(g, gamma_local, degrees, profile)
     capped = min(gamma_local, spectral.LOCAL_GAMMA_CAP)
     return {
         "gamma_local": _num(gamma_local),
@@ -190,10 +189,8 @@ def conditions_section(
             "lambda_n": cert.lambda_n,
             "lambda_n_minus_1": cert.lambda_n_minus_1,
             "psd": cert.psd,
-            "residual": cert.residual,
             "diag_shift": cert.diag_shift.tolist(),
         },
-        "spectral_ratio": {"basic": _num(basic), "refined": _num(refined)},
         "psd_margin": {"holds": holds, "margin": margin},
         "families": [_verdict_json(v) for v in verdicts],
     }
@@ -281,7 +278,7 @@ def spectrum_report(g: WeightedGraph, path: str, limit: int) -> dict:
     profile = _attached_profile(g, limit)
     candidate = spectral.spectral_partition(g) if profile is None else profile.max_cut
     return {
-        "schema": "stablecut-spectrum-report/3",
+        "schema": "stablecut-spectrum-report/4",
         "instance": _instance(g, path),
         "eigenvalues": spectral.eigenvalues_of_w(g)[::-1].tolist(),
         "tolerances": {

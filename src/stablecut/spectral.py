@@ -12,7 +12,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ValidationError
-from .graph import Cut, DegreeStats, WeightedGraph, _side_weights
+from .graph import Cut, WeightedGraph, _side_weights
 
 __all__ = [
     "PSD_REL_TOL",
@@ -25,7 +25,6 @@ __all__ = [
     "eigenvalues_of_w",
     "spectral_partition",
     "build_diagonal_from_cut",
-    "spectral_gamma_requirement",
     "psd_sufficient_margin",
     "family_condition_checks",
     "build_certificate",
@@ -129,42 +128,8 @@ def build_diagonal_from_cut(g: WeightedGraph, c: Cut) -> np.ndarray:
     Chosen so the cut's sign vector lies in the kernel of W + diag(d)
     exactly; trace(d) = 2 * (cut weight - uncut weight).
     """
-    if c.n != g.n:
-        raise ValidationError(f"cut has {c.n} entries for a {g.n}-vertex graph")
     own, opposite = _side_weights(g, c.signs)
     return opposite - own
-
-
-def spectral_gamma_requirement(
-    g: WeightedGraph, u: np.ndarray
-) -> tuple[float, float]:
-    """Stability thresholds above which the cut induced by u is the maximum.
-
-    basic   = max |u_i u_j| / min |u_i u_j| over support edges (+inf, i.e.
-              meaningless, when some product vanishes);
-    refined = (max of -u_i u_j over sign-disagreeing edges)
-              / (min of u_i u_j over sign-agreeing edges).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    iu, ju = np.nonzero(np.triu(g.support))
-    if iu.size == 0:
-        return 1.0, 0.0
-    prods = u[iu] * u[ju]
-    abs_prods = np.abs(prods)
-    lo = float(abs_prods.min())
-    basic = math.inf if lo == 0.0 else float(abs_prods.max()) / lo
-
-    neg = prods < 0
-    pos = ~neg
-    num = float((-prods[neg]).max()) if neg.any() else 0.0
-    den = float(prods[pos].min()) if pos.any() else math.inf
-    if den == 0.0:
-        refined = math.inf if num > 0 else 0.0
-    elif math.isinf(den):
-        refined = 0.0
-    else:
-        refined = num / den
-    return basic, refined
 
 
 def _capped(gamma: float) -> float:
@@ -172,18 +137,18 @@ def _capped(gamma: float) -> float:
 
 
 def psd_sufficient_margin(
-    g: WeightedGraph, gamma_local: float, stats: DegreeStats
+    g: WeightedGraph, gamma_local: float, degrees: np.ndarray
 ) -> tuple[bool, float]:
     """Margin 2*delta~*(gamma-1)/(gamma+1) + lam_n + lam_{n-1} for a cut c.
 
     gamma_local is oracle.local_stability_gamma(g, c), and gamma is it capped
-    when infinite; delta~ is stats.min_weighted, stats = weighted_degrees(g);
-    the eigenvalues are those of W itself.  A positive margin guarantees
-    W + diag(build_diagonal_from_cut(g, c)) is positive semidefinite.
+    when infinite; delta~ is the least of the weighted degrees `degrees`,
+    W's row sums; the eigenvalues are those of W itself.  A positive margin
+    guarantees W + diag(build_diagonal_from_cut(g, c)) is positive semidefinite.
     """
     gamma = _capped(gamma_local)
     lam_n, _, lam_n1 = bottom_spectrum(g)
-    margin = 2.0 * stats.min_weighted * (gamma - 1.0) / (gamma + 1.0) + lam_n + lam_n1
+    margin = 2.0 * float(degrees.min()) * (gamma - 1.0) / (gamma + 1.0) + lam_n + lam_n1
     return margin > 0, float(margin)
 
 
@@ -202,7 +167,7 @@ class ConditionVerdict:
 def family_condition_checks(
     g: WeightedGraph,
     gamma_local: float,
-    stats: DegreeStats,
+    degrees: np.ndarray,
     profile: oracle.StabilityReport | None = None,
 ) -> list[ConditionVerdict]:
     """Evaluate the graph-family conditions under which the shifted spectral
@@ -210,7 +175,7 @@ def family_condition_checks(
     expansion, and cut distinctness.
 
     gamma_local is oracle.local_stability_gamma(g, c) for the candidate cut
-    c, and gamma is it capped when infinite; stats = weighted_degrees(g).
+    c, and gamma is it capped when infinite; `degrees` are W's row sums.
     W's eigenvalues all come from bottom_spectrum's solve.  Structural
     preconditions that fail mark the check not-applicable rather than false.
     The Cheeger and distinctness checks read the Cheeger constant and k* off
@@ -220,8 +185,7 @@ def family_condition_checks(
     gamma = _capped(gamma_local)
     lam_n, _, lam_n1 = bottom_spectrum(g)
 
-    wdeg = stats.weighted
-    equal_w = g.n > 0 and float(np.ptp(wdeg)) <= 1e-9 * max(1.0, float(np.abs(wdeg).max()))
+    equal_w = g.n > 0 and float(np.ptp(degrees)) <= 1e-9 * max(1.0, float(np.abs(degrees).max()))
     if equal_w and lam_n < 0:
         lhs = lam_n1 / lam_n
         rhs = (gamma - 3.0) / (gamma + 1.0)
@@ -235,7 +199,7 @@ def family_condition_checks(
         verdicts.append(ConditionVerdict("equal_degree_spectral_ratio", False, None))
 
     regular = g.is_simple() and equal_w and g.n > 1
-    d = float(wdeg[0]) if regular else 0.0
+    d = float(degrees[0]) if regular else 0.0
     if regular:
         lam2 = float(eigenvalues_of_w(g)[-2])
         rhs = (5.0 * d + lam2) / (d - lam2) if d - lam2 > 0 else math.inf
@@ -284,33 +248,30 @@ def family_condition_checks(
 
 @dataclass(frozen=True)
 class SpectralCertificate:
-    """Spectral snapshot of W + diag(d) for a candidate cut; ``psd`` means
+    """The kernel certificate of a candidate cut c: its kernel diagonal d
+    (``diag_shift``, so c's sign vector lies in the kernel of W + diag(d)),
+    the two least eigenvalues of W + diag(d), and ``psd``, which means
     lambda_n >= -PSD_REL_TOL * max(1, |W + diag(d)|_inf)."""
 
     lambda_n: float
     lambda_n_minus_1: float
-    eigvec: np.ndarray
     diag_shift: np.ndarray
     psd: bool
-    residual: float
 
 
 def build_certificate(
     g: WeightedGraph, c: Cut, d: np.ndarray | None = None
 ) -> SpectralCertificate:
-    """Certificate for c: kernel diagonal, bottom spectrum, PSD flag, residual.
+    """Certificate for c: kernel diagonal, bottom spectrum, PSD flag.
     d is c's kernel diagonal (build_diagonal_from_cut) if already computed."""
     if d is None:
         d = build_diagonal_from_cut(g, c)
     m = _shifted(g, d)
-    lam_n, u, lam_n1 = eigen_smallest_two(m)
-    residual = float(np.abs(m @ c.as_float()).max()) if g.n else 0.0
+    lam_n, _, lam_n1 = eigen_smallest_two(m)
     return SpectralCertificate(
         lambda_n=lam_n,
         lambda_n_minus_1=lam_n1,
-        eigvec=u,
         diag_shift=d,
         psd=lam_n >= -PSD_REL_TOL * max(1.0, float(np.linalg.norm(m, np.inf))),
-        residual=residual,
     )
 

@@ -475,13 +475,16 @@ def test_schema_is_strict(tmp_path, capsys):
 
     def rejected(mutate) -> bool:
         bad = copy.deepcopy(doc)
-        mutate(bad["solvers"])
+        mutate(bad)
         return not jsonschema.Draft202012Validator(SCHEMA).is_valid(bad)
 
-    assert rejected(lambda s: s["greedy"]["trace"][0].update(component_sizes=[1] * 8))
-    assert rejected(lambda s: s["dual"].update(trace=[s["dual"]["trace"]]))
+    assert rejected(lambda d: d["solvers"]["greedy"]["trace"][0].update(component_sizes=[1] * 8))
+    assert rejected(lambda d: d["solvers"]["dual"].update(trace=[d["solvers"]["dual"]["trace"]]))
     for name in report.SOLVERS:
-        assert rejected(lambda s: s[name].update(unknown=0))
+        assert rejected(lambda d: d["solvers"][name].update(unknown=0))
+    # the fields run report /6 dropped
+    assert rejected(lambda d: d["conditions"].update(spectral_ratio={"basic": 1.0, "refined": 0.0}))
+    assert rejected(lambda d: d["conditions"]["certificate"].update(residual=0.0))
 
 
 def test_verify_report_schema(tmp_path, capsys):

@@ -13,11 +13,13 @@ from stablecut import (
     SizeLimitError,
     ValidationError,
     WeightedGraph,
+    build_certificate,
+    build_diagonal_from_cut,
     cut_value,
     dumps_graph,
     local_stability_gamma,
     loads_graph,
-    weighted_degrees,
+    polish_cut,
 )
 from stablecut import graph
 from stablecut.graph import MAX_FILE_VERTICES, _side_weights
@@ -68,15 +70,13 @@ def test_cut_value_dimension_error(k2):
         cut_value(k2, Cut(np.array([1, -1, 1])))
 
 
-def test_weighted_degrees(k2, triangle, c4):
-    s = weighted_degrees(k2)
-    assert s.weighted.tolist() == [1.0, 1.0]
-    assert s.min_weighted == 1.0 and s.min_simple == 1
-    s = weighted_degrees(triangle)
-    assert s.weighted.tolist() == [3.0, 5.0, 4.0]
-    assert s.min_weighted == 3.0
-    s = weighted_degrees(c4)
-    assert s.min_simple == 2
+@pytest.mark.parametrize(
+    "f", [cut_value, local_stability_gamma, build_diagonal_from_cut, build_certificate, polish_cut]
+)
+@pytest.mark.parametrize("signs", [[1, -1], [1, -1, 1, -1, 1]])
+def test_wrong_length_cut_raises_dimension_error(c4, f, signs):
+    with pytest.raises(DimensionError, match=f"cut has {len(signs)} entries for a 4-vertex graph"):
+        f(c4, Cut(np.array(signs)))
 
 
 def test_apply_perturbation(k2, triangle):

@@ -21,10 +21,8 @@ from stablecut import (
     family_condition_checks,
     local_stability_gamma,
     psd_sufficient_margin,
-    spectral_gamma_requirement,
     spectral_partition,
     stability_report,
-    weighted_degrees,
 )
 from stablecut import spectral
 
@@ -119,29 +117,15 @@ def test_kernel_and_trace_identities(n, seed, cut_bits):
     assert d.sum() == pytest.approx(2 * (w_cut - w_not), rel=1e-9, abs=1e-9)
 
 
-def test_gamma_requirement_examples(k2, p3, c4):
-    basic, _ = spectral_gamma_requirement(c4, np.array([1, -1, 1, -1]) / 2.0)
-    assert basic == pytest.approx(1.0)
-    basic, _ = spectral_gamma_requirement(k2, np.array([1, -1]) / math.sqrt(2))
-    assert basic == pytest.approx(1.0)
-    basic, _ = spectral_gamma_requirement(p3, np.array([1, -math.sqrt(2), 1]) / 2.0)
-    assert basic == pytest.approx(1.0)
-
-
-def test_gamma_requirement_zero_entry_is_meaningless(p3):
-    basic, _ = spectral_gamma_requirement(p3, np.array([1.0, 0.0, -1.0]))
-    assert math.isinf(basic)
-
-
 def test_margin_examples(k2, c4, unit_triangle):
     for g, cut in ((c4, Cut(np.array([1, -1, 1, -1]))), (k2, Cut(np.array([1, -1])))):
         gamma = local_stability_gamma(g, cut)
-        ok, margin = psd_sufficient_margin(g, gamma, weighted_degrees(g))
+        ok, margin = psd_sufficient_margin(g, gamma, g.weights.sum(axis=1))
         assert ok and margin == pytest.approx(2.0, rel=1e-9)
     cut, _, _ = brute_force_max_cut(unit_triangle)
     gamma = local_stability_gamma(unit_triangle, cut)
     assert gamma == 1.0
-    ok, margin = psd_sufficient_margin(unit_triangle, gamma, weighted_degrees(unit_triangle))
+    ok, margin = psd_sufficient_margin(unit_triangle, gamma, unit_triangle.weights.sum(axis=1))
     # local stability of a tie instance is 1, so the degree term vanishes
     # and the two bottom eigenvalues -1, -1 push the margin to -2
     assert not ok and margin == pytest.approx(-2.0, rel=1e-9)
@@ -153,23 +137,44 @@ def test_margin_soundness(n, seed):
     """Positive margin at the true max cut implies the shifted matrix is PSD."""
     g = random_weighted(n, seed)
     cut, _, _ = brute_force_max_cut(g)
-    ok, _ = psd_sufficient_margin(g, local_stability_gamma(g, cut), weighted_degrees(g))
+    ok, _ = psd_sufficient_margin(g, local_stability_gamma(g, cut), g.weights.sum(axis=1))
     if ok:
         assert build_certificate(g, cut).psd
+
+
+def product_ratio(g: WeightedGraph, u: np.ndarray) -> float:
+    """max |u_i u_j| / min |u_i u_j| over the edges ij of g: the paper's
+    threshold for the spectral route, where u is the bottom eigenvector of
+    the maximum cut's kernel shift (see test_spectral_recovery_soundness).
+    It is 1 on an edgeless graph and +inf (meaningless) when a product vanishes.
+    """
+    iu, ju = np.nonzero(np.triu(g.support))
+    if iu.size == 0:
+        return 1.0
+    prods = np.abs(u[iu] * u[ju])
+    lo = float(prods.min())
+    return math.inf if lo == 0.0 else float(prods.max()) / lo
+
+
+def test_product_ratio_examples(k2, p3, c4):
+    assert product_ratio(c4, np.array([1, -1, 1, -1]) / 2.0) == pytest.approx(1.0)
+    assert product_ratio(k2, np.array([1, -1]) / math.sqrt(2)) == pytest.approx(1.0)
+    assert product_ratio(p3, np.array([1, -math.sqrt(2), 1]) / 2.0) == pytest.approx(1.0)
+    assert math.isinf(product_ratio(p3, np.array([1.0, 0.0, -1.0])))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=3, max_value=8), st.integers(min_value=0, max_value=5_000))
 def test_spectral_recovery_soundness(n, seed):
-    """If gamma* clears the basic product ratio for the kernel shift, the
-    shifted spectral partition is the max cut."""
+    """If gamma* clears the product ratio of the kernel shift's bottom
+    eigenvector, the shifted spectral partition is the max cut."""
     g = random_weighted(n, seed)
     rep = stability_report(g)
     if not rep.unique:
         return
     d = build_diagonal_from_cut(g, rep.max_cut)
     _, u, _ = eigen_smallest_two(g.weights + np.diag(d))
-    basic, _ = spectral_gamma_requirement(g, u)
+    basic = product_ratio(g, u)
     if math.isfinite(basic) and rep.gamma_star > basic:
         assert spectral._sign_cut(u) == rep.max_cut
 
@@ -191,8 +196,8 @@ def test_rounding_key_equal_exactly_when_sign_cuts_are(pair):
 
 def test_family_checks_on_c4(c4):
     cut, _, _ = brute_force_max_cut(c4)
-    gamma, stats = local_stability_gamma(c4, cut), weighted_degrees(c4)
-    verdicts = {v.name: v for v in family_condition_checks(c4, gamma, stats, stability_report(c4))}
+    gamma, degrees = local_stability_gamma(c4, cut), c4.weights.sum(axis=1)
+    verdicts = {v.name: v for v in family_condition_checks(c4, gamma, degrees, stability_report(c4))}
     v = verdicts["equal_degree_spectral_ratio"]
     assert v.applicable and v.holds
     assert v.lhs == pytest.approx(0.0, abs=1e-12)
@@ -205,7 +210,7 @@ def test_family_checks_on_c4(c4):
     assert v.applicable
     assert v.detail["h_ge_k"] is True
     # the exact quantities come only from a profile
-    verdicts = {v.name: v for v in family_condition_checks(c4, gamma, stats)}
+    verdicts = {v.name: v for v in family_condition_checks(c4, gamma, degrees)}
     assert verdicts["regular_expander"].applicable
     assert not verdicts["cheeger_expansion"].applicable
     assert not verdicts["distinctness"].applicable
@@ -214,18 +219,19 @@ def test_family_checks_on_c4(c4):
 def test_family_checks_not_applicable_on_weighted(triangle):
     cut, _, _ = brute_force_max_cut(triangle)
     gamma = local_stability_gamma(triangle, cut)
-    verdicts = {v.name: v for v in family_condition_checks(triangle, gamma, weighted_degrees(triangle))}
+    degrees = triangle.weights.sum(axis=1)
+    verdicts = {v.name: v for v in family_condition_checks(triangle, gamma, degrees)}
     assert not verdicts["regular_expander"].applicable
     assert not verdicts["cheeger_expansion"].applicable
 
 
 def test_certificate_fields(c4):
-    cert = build_certificate(c4, Cut(np.array([1, -1, 1, -1])))
+    cut = Cut(np.array([1, -1, 1, -1]))
+    cert = build_certificate(c4, cut)
     assert cert.psd
-    assert cert.residual == 0.0
+    assert not ((c4.weights + np.diag(cert.diag_shift)) @ cut.as_float()).any()
     assert cert.lambda_n == pytest.approx(0.0, abs=1e-12)
     assert cert.lambda_n <= cert.lambda_n_minus_1
-    assert np.linalg.norm(cert.eigvec) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_local_stability_feeds_gw(c4):
@@ -260,9 +266,9 @@ def test_bottom_spectrum_solves_w_once_per_graph(monkeypatch, c4):
     first = bottom_spectrum(c4)
     assert bottom_spectrum(c4) is first
     assert spectral_partition(c4) == cut
-    psd_sufficient_margin(c4, math.inf, weighted_degrees(c4))
+    psd_sufficient_margin(c4, math.inf, c4.weights.sum(axis=1))
     # C_4 is regular, so the expander check reads lambda_2 as well
-    verdicts = family_condition_checks(c4, math.inf, weighted_degrees(c4))
+    verdicts = family_condition_checks(c4, math.inf, c4.weights.sum(axis=1))
     assert verdicts[1].detail["lambda2"] == spectral.eigenvalues_of_w(c4)[-2]
     assert len(solved) == 1
     with pytest.raises(ValueError):
@@ -292,7 +298,7 @@ def test_bottom_spectrum_shared_between_threads():
 
     def results(g: WeightedGraph) -> tuple:
         lam, u, lam1 = bottom_spectrum(g)
-        margin = psd_sufficient_margin(g, local_stability_gamma(g, cut), weighted_degrees(g))
+        margin = psd_sufficient_margin(g, local_stability_gamma(g, cut), g.weights.sum(axis=1))
         vals = spectral.eigenvalues_of_w(g).tobytes()
         return lam, u.tobytes(), lam1, vals, spectral_partition(g), margin
 
