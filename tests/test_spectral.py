@@ -156,10 +156,13 @@ def product_ratio(g: WeightedGraph, u: np.ndarray) -> float:
     return math.inf if lo == 0.0 else float(prods.max()) / lo
 
 
-def test_product_ratio_examples(k2, p3, c4):
+def test_gamma_requirement_examples(k2, p3, c4):
     assert product_ratio(c4, np.array([1, -1, 1, -1]) / 2.0) == pytest.approx(1.0)
     assert product_ratio(k2, np.array([1, -1]) / math.sqrt(2)) == pytest.approx(1.0)
     assert product_ratio(p3, np.array([1, -math.sqrt(2), 1]) / 2.0) == pytest.approx(1.0)
+
+
+def test_gamma_requirement_zero_entry_is_meaningless(p3):
     assert math.isinf(product_ratio(p3, np.array([1.0, 0.0, -1.0])))
 
 
