@@ -1,9 +1,9 @@
 """Exponential-time ground truth on small instances.
 
 Exact Max-Cut by enumeration, the stability factor gamma*, local stability,
-edge distinctness alpha*, k-distinctness k* and the Cheeger constant.
-Everything here is the oracle the polynomial-time solvers are tested
-against.
+edge distinctness alpha*, k-distinctness k* and, in its own sweep, the
+Cheeger constant.  Everything here is the oracle the polynomial-time solvers
+are tested against.
 
 Partitions are sign vectors t with vertex 0 pinned to +1, numbered by the
 bitmask over vertices 1..n-1 (bit v-1 set means t_v = -1).  One kernel
@@ -30,7 +30,7 @@ from .errors import SizeLimitError, ValidationError
 from .graph import Cut, WeightedGraph, _side_weights
 
 __all__ = [
-    "DEFAULT_ENUM_LIMIT", "MAX_ENUM_LIMIT", "TIE_REL_TOL", "StabilityReport",
+    "DEFAULT_ENUM_LIMIT", "MAX_ENUM_LIMIT", "TIE_REL_TOL", "StabilityReport", "cheeger_constant",
     "brute_force_max_cut", "stability_report", "local_stability_gamma",
 ]
 
@@ -50,9 +50,7 @@ class StabilityReport:
     gamma-stable exactly for gamma < gamma_star.  ``worst_cut`` is the
     minimizing T (None when gamma_star is infinite).  A non-unique maximum
     reports gamma_star = 1 and alpha_star = k_star = 0, with the tying
-    partition as witness.  ``ties`` counts the partitions tying at the
-    maximum; ``cheeger`` is the Cheeger constant, min over nonempty U with
-    |U| <= n/2 of |support edges leaving U| / |U| (None below two vertices).
+    partition as witness.  ``ties`` counts the partitions tying at the maximum.
     """
 
     max_cut: Cut
@@ -64,7 +62,6 @@ class StabilityReport:
     k_star: float
     worst_cut: Cut | None
     ties: int
-    cheeger: float | None
 
 
 def _check_size(g: WeightedGraph, limit: int) -> None:
@@ -124,44 +121,48 @@ class _Kernel:
         return (self.block(i) for i in range(self.blocks))
 
 
-def _scan_max(g: WeightedGraph, cheeger: bool) -> tuple:
-    """First sweep: (lowest tying mask, tie count, second tying mask or None,
-    Cheeger constant or None).  Each block keeps its maximum and the size and
-    first two masks of its own tie window; a block inside the global window
-    but below the global maximum is evaluated again, so memory stays bounded.
-    """
+def _scan_max(g: WeightedGraph) -> tuple:
+    """First sweep: (lowest tying mask, tie count, second tying mask or None).
+    Each block keeps its maximum and the size and first two masks of its own
+    tie window; a block inside the global window but below the global
+    maximum is evaluated again, so memory stays bounded."""
     def tie_floor(best: float) -> float:
         return best - TIE_REL_TOL * max(1.0, abs(best))
 
-    n, w = g.n, g.weights
-    forms = [(w.sum() / 4, -w / 4)]
-    if cheeger:
-        a = g.support.astype(np.float64)
-        forms += [(a.sum() / 4, -a / 4), _linear(n / 2, np.full(n, -0.5))]  # boundary, |U|
-    kernel = _Kernel(n, forms)
-    blocks, h = [], math.inf
-    for start, vals in kernel:
-        top = float(vals[0].max())
-        hits = np.flatnonzero(vals[0] >= tie_floor(top))
+    kernel = _Kernel(g.n, [(g.weights.sum() / 4, -g.weights / 4)])
+    blocks = []
+    for start, (vals,) in kernel:
+        top = float(vals.max())
+        hits = np.flatnonzero(vals >= tie_floor(top))
         blocks.append((top, hits.size, start + hits[:2]))
-        if cheeger:
-            # U is the -1 side; the smaller of U and its complement counts.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = vals[1] / np.minimum(vals[2], n - vals[2])
-            h = min(h, float(np.fmin.reduce(ratio)))  # fmin skips U = {}: 0/0
 
     best = max(top for top, _, _ in blocks)
     floor = tie_floor(best)
     ties, lowest = 0, []
     for i, (top, count, masks) in enumerate(blocks):
         if floor <= top < best:
-            start, vals = kernel.block(i)
-            hits = np.flatnonzero(vals[0] >= floor)
+            start, (vals,) = kernel.block(i)
+            hits = np.flatnonzero(vals >= floor)
             count, masks = hits.size, start + hits[:2]
         if top >= floor:
             ties += count
             lowest += masks.tolist()
-    return lowest[0], ties, lowest[1] if ties > 1 else None, h if cheeger else None
+    return lowest[0], ties, lowest[1] if ties > 1 else None
+
+
+def cheeger_constant(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> float:
+    """Min over nonempty U with |U| <= n/2 of |support edges leaving U| / |U|."""
+    _check_size(g, limit)
+    n, a = g.n, g.support.astype(np.float64)
+    if n < 2:
+        raise ValidationError("the Cheeger constant needs at least two vertices")
+    forms = [(a.sum() / 4, -a / 4), _linear(n / 2, np.full(n, -0.5))]  # boundary, |U|
+    h = math.inf
+    for _, vals in _Kernel(n, forms):
+        # U is the -1 side; the smaller of U and its complement counts.
+        with np.errstate(divide="ignore", invalid="ignore"):  # fmin skips U = {}: 0/0
+            h = min(h, float(np.fmin.reduce(vals[0] / np.minimum(vals[1], n - vals[1]))))
+    return h
 
 
 def _cut_weight(g: WeightedGraph, c: Cut) -> float:
@@ -236,7 +237,7 @@ def brute_force_max_cut(
     the lowest enumeration mask wins ties, so the result is deterministic.
     """
     _check_size(g, limit)
-    mask, ties, _, _ = _scan_max(g, cheeger=False)
+    mask, ties, _ = _scan_max(g)
     cut = _cut_for_mask(g.n, mask)
     return cut, _cut_weight(g, cut), ties == 1
 
@@ -265,7 +266,7 @@ def stability_report(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> Stabi
     """
     _check_size(g, limit)
     n = g.n
-    best_mask, ties, second, cheeger = _scan_max(g, cheeger=n > 1)
+    best_mask, ties, second = _scan_max(g)
     max_cut = _cut_for_mask(n, best_mask)
     if ties == 1:
         gamma_star, worst, alpha_star, k_star = _distinctness(g, max_cut.signs)
@@ -274,6 +275,6 @@ def stability_report(g: WeightedGraph, limit: int = DEFAULT_ENUM_LIMIT) -> Stabi
     return StabilityReport(
         max_cut=max_cut, max_value=_cut_weight(g, max_cut), unique=ties == 1,
         gamma_star=gamma_star, gamma_local=local_stability_gamma(g, max_cut),
-        alpha_star=alpha_star, k_star=k_star, ties=ties, cheeger=cheeger,
+        alpha_star=alpha_star, k_star=k_star, ties=ties,
         worst_cut=None if worst is None else _cut_for_mask(n, worst),
     )

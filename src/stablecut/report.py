@@ -29,7 +29,7 @@ from . import combinatorial, dualsdp, oracle, spectral
 from .errors import ValidationError
 from .graph import Cut, WeightedGraph, cut_value
 
-SCHEMA_ID = "stablecut-run-report/6"
+SCHEMA_ID = "stablecut-run-report/7"
 SOLVERS = ("greedy", "contract", "spectral", "dual", "oracle")
 
 # Solve and spectrum attach the exact oracle automatically up to this size.
@@ -63,7 +63,6 @@ def _profile_json(p: oracle.StabilityReport) -> dict:
         "alpha_star": p.alpha_star,
         "k_star": _num(p.k_star),
         "worst_cut": None if p.worst_cut is None else p.worst_cut.signs.tolist(),
-        "cheeger": p.cheeger,
     }
 
 
@@ -265,7 +264,7 @@ def build_run_report(
 def verify_report(g: WeightedGraph, path: str, limit: int) -> dict:
     """The exact stability profile of g, from at most two sweeps."""
     return {
-        "schema": "stablecut-verify-report/1",
+        "schema": "stablecut-verify-report/2",
         "instance": _instance(g, path),
         "tolerances": {"tie_rel_tol": oracle.TIE_REL_TOL},
         "oracle": _profile_json(oracle.stability_report(g, limit)),
@@ -278,7 +277,7 @@ def spectrum_report(g: WeightedGraph, path: str, limit: int) -> dict:
     profile = _attached_profile(g, limit)
     candidate = spectral.spectral_partition(g) if profile is None else profile.max_cut
     return {
-        "schema": "stablecut-spectrum-report/4",
+        "schema": "stablecut-spectrum-report/5",
         "instance": _instance(g, path),
         "eigenvalues": spectral.eigenvalues_of_w(g)[::-1].tolist(),
         "tolerances": {

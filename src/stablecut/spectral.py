@@ -178,8 +178,8 @@ def family_condition_checks(
     c, and gamma is it capped when infinite; `degrees` are W's row sums.
     W's eigenvalues all come from bottom_spectrum's solve.  Structural
     preconditions that fail mark the check not-applicable rather than false.
-    The Cheeger and distinctness checks read the Cheeger constant and k* off
-    the exact stability `profile`; without one they are not applicable.
+    The Cheeger and distinctness checks need the exact stability `profile`
+    (for k*) and sweep for the Cheeger constant; without one neither applies.
     """
     verdicts: list[ConditionVerdict] = []
     gamma = _capped(gamma_local)
@@ -220,7 +220,7 @@ def family_condition_checks(
         return (5.0 + s) / (1.0 - s)
 
     rep = profile if regular else None
-    h = None if rep is None else rep.cheeger
+    h = None if rep is None else oracle.cheeger_constant(g)
     if h is not None and math.isfinite(h) and h > 0:
         rhs = threshold_from(h)
         verdicts.append(

@@ -378,15 +378,18 @@ def test_oracle_limit_env_rejects_bad_values(tmp_path, capsys, monkeypatch, raw)
 def _count_sweeps(monkeypatch) -> list:
     sweeps = []
     kernel = oracle._Kernel
-    monkeypatch.setattr(oracle, "_Kernel", lambda n, forms: sweeps.append(n) or kernel(n, forms))
+    monkeypatch.setattr(
+        oracle, "_Kernel", lambda n, forms: sweeps.append((n, len(forms))) or kernel(n, forms)
+    )
     return sweeps
 
 
 def test_verify_enumerates_once(tmp_path, capsys, monkeypatch):
     sweeps = _count_sweeps(monkeypatch)
     assert main(["verify", _write_triangle(tmp_path)]) == 0
-    # one stability profile: the maximum with its ties and Cheeger, then gamma*/alpha*/k*
-    assert sweeps == [3, 3]
+    # one stability profile: the maximum with its ties, then gamma*/alpha*/k*;
+    # no Cheeger sweep, since verify runs no family check
+    assert sweeps == [(3, 1), (3, 4)]
 
 
 def test_solve_profiles_regular_graph_once(tmp_path, capsys, monkeypatch):
@@ -397,8 +400,9 @@ def test_solve_profiles_regular_graph_once(tmp_path, capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["conditions"]["families"][2]["detail"]["cheeger"] == 2.0
     # contract's quotient takes one sweep; the oracle solver entry, the oracle
-    # section and the family checks share one two-sweep profile
-    assert sweeps == [2, 8, 8]
+    # section and the family checks share one two-sweep profile, and the
+    # family checks on this regular graph add one Cheeger sweep
+    assert sweeps == [(2, 1), (8, 1), (8, 4), (8, 2)]
 
 
 def test_spectrum_profiles_regular_graph_once(tmp_path, capsys, monkeypatch):
@@ -408,8 +412,9 @@ def test_spectrum_profiles_regular_graph_once(tmp_path, capsys, monkeypatch):
     assert main(["spectrum", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["conditions"]["families"][2]["detail"]["cheeger"] == 2.0
-    # the candidate cut and the family checks share one two-sweep profile
-    assert sweeps == [8, 8]
+    # the candidate cut and the family checks share one two-sweep profile;
+    # the Cheeger sweep runs because K_{4,4} is regular
+    assert sweeps == [(8, 1), (8, 4), (8, 2)]
 
 
 def test_profile_attaches_up_to_16_vertices(tmp_path, capsys, monkeypatch):
@@ -422,7 +427,27 @@ def test_profile_attaches_up_to_16_vertices(tmp_path, capsys, monkeypatch):
         assert main(["spectrum", path]) == 0
         capsys.readouterr()
     # solve and spectrum share one rule: a two-sweep profile for n <= 16 only
-    assert sweeps == [16, 16, 16, 16]
+    assert sweeps == [(16, 1), (16, 4)] * 2
+
+
+def test_planted_verify_and_solve_never_sweep_for_cheeger(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cheeger_constant called")
+
+    monkeypatch.setattr(oracle, "cheeger_constant", refuse)
+    cases = [(8, "2", "uniform:0.5:1.5"), (12, "1.25", "two_point:0.3:0.5:1.5"),
+             (16, "4", "constant:1")]
+    for n, gamma, dist in cases:
+        gen = ["gen", "planted", "--n", str(n), "--gamma", gamma, "--dist", dist]
+        assert main(gen + ["-o", str(tmp_path)]) == 0
+        path = capsys.readouterr().out.strip()
+        assert main(["verify", path]) == 0
+        assert "cheeger" not in json.loads(capsys.readouterr().out)["oracle"]
+        assert main(["solve", "--solver", "all", "--no-timing", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # planted weights are not all 1, so the Cheeger checks do not apply
+        assert "cheeger" not in doc["oracle"]
+        assert not doc["conditions"]["families"][2]["applicable"]
 
 
 def test_solve_runs_greedy_once_per_component(tmp_path, capsys, monkeypatch):
@@ -485,6 +510,31 @@ def test_schema_is_strict(tmp_path, capsys):
     # the fields run report /6 dropped
     assert rejected(lambda d: d["conditions"].update(spectral_ratio={"basic": 1.0, "refined": 0.0}))
     assert rejected(lambda d: d["conditions"]["certificate"].update(residual=0.0))
+    # the field run report /7 dropped
+    assert rejected(lambda d: d["oracle"].update(cheeger=2.0))
+
+
+def test_verify_and_spectrum_schemas_are_strict(tmp_path, capsys):
+    path = tmp_path / "k44.graph"
+    path.write_text(dumps_graph(complete_bipartite(4)))
+    docs = {}
+    for command in ("verify", "spectrum"):
+        assert main([command, str(path)]) == 0
+        docs[command] = json.loads(capsys.readouterr().out)
+        _validate(docs[command])
+
+    def rejected(command: str, mutate) -> bool:
+        bad = copy.deepcopy(docs[command])
+        mutate(bad)
+        return not jsonschema.Draft202012Validator(SCHEMA).is_valid(bad)
+
+    # the field verify report /2 dropped, and unknown keys anywhere
+    assert rejected("verify", lambda d: d["oracle"].update(cheeger=2.0))
+    assert rejected("verify", lambda d: d.update(unknown=0))
+    assert rejected("verify", lambda d: d["tolerances"].update(psd_rel_tol=1e-9))
+    assert rejected("verify", lambda d: d["oracle"].pop("worst_cut"))
+    assert rejected("spectrum", lambda d: d.update(unknown=0))
+    assert rejected("spectrum", lambda d: d["tolerances"].update(unknown=0))
 
 
 def test_verify_report_schema(tmp_path, capsys):

@@ -21,7 +21,7 @@ from stablecut import (
     stability_report,
 )
 
-from conftest import random_weighted
+from conftest import complete_bipartite, random_weighted
 
 
 def test_brute_force_k2(k2):
@@ -109,10 +109,13 @@ def test_alpha_examples(triangle):
 
 
 def test_cheeger_examples(c4, k2):
-    assert stability_report(c4).cheeger == 1.0
-    assert stability_report(k2).cheeger == 1.0
+    assert oracle.cheeger_constant(c4) == 1.0
+    assert oracle.cheeger_constant(k2) == 1.0
     k4 = WeightedGraph(np.ones((4, 4)) - np.eye(4))
-    assert stability_report(k4).cheeger == 2.0
+    assert oracle.cheeger_constant(k4) == 2.0
+    assert oracle.cheeger_constant(complete_bipartite(4)) == 2.0
+    with pytest.raises(ValidationError):
+        oracle.cheeger_constant(WeightedGraph(np.zeros((1, 1))))
 
 
 def dethroned(g: WeightedGraph, gamma: float) -> bool:
@@ -293,12 +296,13 @@ def test_matches_reference_enumerator(block_bits, g):
     # tiny blocks spread n <= 9 over many blocks, as large n does
     with mock.patch.object(oracle, "_BLOCK_BITS", block_bits):
         rep = stability_report(g)
+        cheeger = oracle.cheeger_constant(g) if g.n > 1 else None
     assert tuple(rep.max_cut.signs) == ref["max_cut"]
     assert rep.ties == ref["ties"]
     assert rep.unique == (ref["ties"] == 1)
     worst = None if rep.worst_cut is None else tuple(rep.worst_cut.signs)
     assert worst == ref["worst_cut"]
-    assert rep.cheeger == ref.get("cheeger")
+    assert cheeger == ref.get("cheeger")
     assert rep.max_value == pytest.approx(ref["max_value"], rel=1e-12)
     for key in ("gamma_star", "alpha_star", "k_star"):
         if math.isinf(ref[key]):
