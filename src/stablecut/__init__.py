@@ -19,7 +19,6 @@ from .errors import (
     ValidationError,
 )
 from .generators import (
-    PlantedInstance,
     WeightDistribution,
     cross_product_amplify,
     gen_gnp_simple,

@@ -114,9 +114,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.model == "planted":
         _check_finite("--gamma", args.gamma)
         dist = generators.WeightDistribution.parse(args.dist)
-        inst = generators.gen_planted(args.n, dist, args.gamma, args.seed)
+        g, planted = generators.gen_planted(args.n, dist, args.gamma, args.seed)
         stem = f"planted_n{args.n}_g{args.gamma!r}_s{args.seed}"
-        path = _write_instance(args.out, stem, inst.graph, inst.sidecar())
+        sidecar = {
+            "model": "planted",
+            "seed": args.seed,
+            "params": {
+                "n": args.n,
+                "gamma": args.gamma,
+                "dist": {"kind": dist.kind, "params": dist.params},
+            },
+            "planted_cut": planted.signs.tolist(),
+        }
+        path = _write_instance(args.out, stem, g, sidecar)
     elif args.model == "gnp":
         g = generators.gen_gnp_simple(args.n, args.p, args.seed)
         stem = f"gnp_n{args.n}_p{args.p!r}_s{args.seed}"
@@ -236,15 +246,13 @@ def _bench_cell(
     tol: float,
     max_iter: int,
     limit: int,
-    timing: bool,
 ) -> tuple[float, float, float]:
     recovered = 0
     certified = 0
     total_ms = 0.0
     for trial in range(trials):
         seed_i = _instance_seed(base_seed, n, gamma, trial)
-        inst = generators.gen_planted(n, dist, gamma, seed_i)
-        g = inst.graph
+        g, planted = generators.gen_planted(n, dist, gamma, seed_i)
         t0 = time.perf_counter()
         if solver == "dual":
             sol = dualsdp.solve_min_trace(g, tol=tol, max_iter=max_iter)
@@ -257,9 +265,8 @@ def _bench_cell(
             cert = False
         else:  # oracle: cmd_bench has rejected every other name
             cut, _, cert = oracle.brute_force_max_cut(g, limit)
-        if timing:
-            total_ms += (time.perf_counter() - t0) * 1000.0
-        recovered += cut == inst.planted
+        total_ms += (time.perf_counter() - t0) * 1000.0
+        recovered += cut == planted
         certified += bool(cert)
     return recovered / trials, certified / trials, total_ms / trials
 
@@ -308,11 +315,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     args.tol,
                     args.max_iter,
                     limit,
-                    not args.no_timing,
                 )
                 lines.append(
                     f"{n},{gamma!r},{dist.spec()},{args.trials},{solver},"
-                    f"{rec:.6f},{cert:.6f},{ms:.3f}"
+                    f"{rec:.6f},{cert:.6f},{0.0 if args.no_timing else ms:.3f}"
                 )
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK

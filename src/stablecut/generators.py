@@ -3,8 +3,10 @@
 All randomness flows through numpy's Philox4x64-10 bit generator seeded via
 SeedSequence(seed), and draws happen in a pinned order (upper-triangle
 weights row-major, then the planted side), so every generator is a pure
-function of (parameters, seed).  A generator whose graph would exceed
-graph.MAX_FILE_VERTICES raises SizeLimitError before allocating it.
+function of (parameters, seed).  Generators return plain values, the graph
+and for gen_planted its planted cut; cli writes the instance sidecars.  A
+generator whose graph would exceed graph.MAX_FILE_VERTICES raises
+SizeLimitError before allocating it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .graph import Cut, WeightedGraph, _check_file_vertices
 
 __all__ = [
     "WeightDistribution",
-    "PlantedInstance",
     "gen_planted",
     "gen_gnp_simple",
     "stabilize_by_scaling",
@@ -77,39 +78,13 @@ class WeightDistribution:
         p, lo, hi = self.params
         return np.where(rng.random(size) < p, hi, lo)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
-
-@dataclass(frozen=True)
-class PlantedInstance:
-    """Complete weighted graph whose cross-cut weights carry a gamma boost."""
-
-    graph: WeightedGraph
-    planted: Cut
-    gamma: float
-    dist: WeightDistribution
-    seed: int
-
-    def sidecar(self) -> dict:
-        return {
-            "model": "planted",
-            "seed": self.seed,
-            "params": {
-                "n": self.graph.n,
-                "gamma": self.gamma,
-                "dist": self.dist.to_json(),
-            },
-            "planted_cut": self.planted.signs.tolist(),
-        }
-
 
 def gen_planted(
     n: int, dist: WeightDistribution, gamma: float, seed: int
-) -> PlantedInstance:
+) -> tuple[WeightedGraph, Cut]:
     """Draw a complete symmetric weight matrix entrywise i.i.d. from dist,
     pick a uniformly random side of size n/2, and multiply the weights
-    crossing it by gamma."""
+    crossing it by gamma; return the graph and that planted cut."""
     if n < 2 or n % 2:
         raise ValidationError(f"planted model needs an even n >= 2, got {n}")
     if gamma < 1:
@@ -124,14 +99,7 @@ def gen_planted(
     signs[side] = 1
     crossing = signs[iu] != signs[ju]
     w[iu, ju] = np.where(crossing, gamma * w[iu, ju], w[iu, ju])
-    w = w + w.T
-    return PlantedInstance(
-        graph=WeightedGraph(w),
-        planted=Cut(signs),
-        gamma=float(gamma),
-        dist=dist,
-        seed=int(seed),
-    )
+    return WeightedGraph(w + w.T), Cut(signs)
 
 
 def gen_gnp_simple(n: int, p: float, seed: int) -> WeightedGraph:

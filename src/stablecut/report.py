@@ -8,8 +8,9 @@ exact stability profile by one rule, n <= min(AUTO_ORACLE_ATTACH, limit).
 Every eigenvalue of W comes from its one eigendecomposition, memoized on the
 graph (spectral.eigenvalues_of_w), and a conditions block computes the
 candidate's local stability once.  Numeric fields carry their tolerance
-context in the `tolerances` block, `wall_ms` is 0.0 under --no-timing, and a
-skipped oracle section is explicit.
+context in the `tolerances` block, and a skipped oracle section is explicit.
+Each solver entry times itself; build_run_report alone reads `timing` and
+zeroes every `wall_ms` under --no-timing.
 
 The run report is O(n) in size, and no field repeats another: a greedy
 step's index is its place in the trace and its component sizes are rebuilt
@@ -77,38 +78,28 @@ def _verdict_json(v: spectral.ConditionVerdict) -> dict:
     }
 
 
-class _Timer:
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self._t0 = time.perf_counter()
-
-    def ms(self) -> float:
-        if not self.enabled:
-            return 0.0
-        return (time.perf_counter() - self._t0) * 1000.0
+def _entry(g: WeightedGraph, cut: Cut, t0: float, **fields) -> dict:
+    """A solver entry: the cut, its value, the time since t0, and `fields`."""
+    return {"cut": cut.signs.tolist(), "value": cut_value(g, cut),
+            "wall_ms": (time.perf_counter() - t0) * 1000.0, **fields}
 
 
-def _entry(g: WeightedGraph, cut: Cut, t: _Timer, **fields) -> dict:
-    """A solver entry: the cut, its value, the time since t started, and `fields`."""
-    return {"cut": cut.signs.tolist(), "value": cut_value(g, cut), "wall_ms": t.ms(), **fields}
-
-
-def solver_entry_greedy(g: WeightedGraph, gamma_hint: float | None, timing: bool) -> dict:
-    t = _Timer(timing)
+def solver_entry_greedy(g: WeightedGraph, gamma_hint: float | None) -> dict:
+    t0 = time.perf_counter()
     cut, trace = combinatorial.find_max_cut_greedy(g)
     fields = ("chosen_i", "chosen_j", "chosen_c", "edge_weight_added")
-    entry = _entry(g, cut, t, trace=[{f: getattr(s, f) for f in fields} for s in trace])
+    entry = _entry(g, cut, t0, trace=[{f: getattr(s, f) for f in fields} for s in trace])
     if gamma_hint is not None:
         flags = [s.bundles < gamma_hint for s in trace]
         entry["applicability"] = {"gamma": gamma_hint, "per_iteration": flags, "overall": all(flags)}
     return entry
 
 
-def solver_entry_contract(g: WeightedGraph, timing: bool) -> dict:
-    t = _Timer(timing)
+def solver_entry_contract(g: WeightedGraph) -> dict:
+    t0 = time.perf_counter()
     result = combinatorial.high_degree_solve(g)
     return _entry(
-        g, result.cut, t,
+        g, result.cut, t0,
         gamma=result.gamma,
         component_count=result.component_count,
         used_exhaustive=result.used_exhaustive,
@@ -116,23 +107,22 @@ def solver_entry_contract(g: WeightedGraph, timing: bool) -> dict:
     )
 
 
-def solver_entry_spectral(g: WeightedGraph, timing: bool) -> dict:
-    t = _Timer(timing)
-    return _entry(g, spectral.spectral_partition(g), t)
+def solver_entry_spectral(g: WeightedGraph) -> dict:
+    t0 = time.perf_counter()
+    return _entry(g, spectral.spectral_partition(g), t0)
 
 
 def solver_entry_dual(
     g: WeightedGraph,
     tol: float,
     max_iter: int,
-    timing: bool,
     on_iteration: Callable[[int, float, float, float], None] | None = None,
 ) -> tuple[dict, dualsdp.DualSolution]:
     """The dual's entry, plus the solution, which holds best_cut's certificate."""
-    t = _Timer(timing)
+    t0 = time.perf_counter()
     sol = dualsdp.solve_min_trace(g, tol=tol, max_iter=max_iter, on_iteration=on_iteration)
     return _entry(
-        g, sol.best_cut, t,
+        g, sol.best_cut, t0,
         certified=sol.converged,
         trace=sol.trace,
         lower_bound=sol.lower_bound,
@@ -143,14 +133,14 @@ def solver_entry_dual(
 
 
 def solver_entry_oracle(
-    g: WeightedGraph, limit: int, timing: bool
+    g: WeightedGraph, limit: int
 ) -> tuple[dict, oracle.StabilityReport | None]:
     """The exact maximum cut, plus the attached stability profile if any.
 
     With a profile the entry is read off its first sweep and `wall_ms`
     times the whole profile; otherwise it is one max-cut sweep.
     """
-    t = _Timer(timing)
+    t0 = time.perf_counter()
     profile = _attached_profile(g, limit)
     if profile is None:
         cut, value, unique = oracle.brute_force_max_cut(g, limit)
@@ -159,7 +149,7 @@ def solver_entry_oracle(
     entry = {
         "cut": cut.signs.tolist(),
         "value": value,
-        "wall_ms": t.ms(),
+        "wall_ms": (time.perf_counter() - t0) * 1000.0,
         "unique": unique,
     }
     return entry, profile
@@ -213,20 +203,24 @@ def build_run_report(
     entries: dict[str, dict] = {}
     for name in solvers:
         if name == "greedy":
-            entries[name] = solver_entry_greedy(g, gamma_hint, timing)
+            entries[name] = solver_entry_greedy(g, gamma_hint)
         elif name == "contract":
             if g.is_simple():
-                entries[name] = solver_entry_contract(g, timing)
+                entries[name] = solver_entry_contract(g)
             else:
                 entries[name] = {"skipped": "weighted input (simple graphs only)"}
         elif name == "spectral":
-            entries[name] = solver_entry_spectral(g, timing)
+            entries[name] = solver_entry_spectral(g)
         elif name == "dual":
-            entries[name], sol = solver_entry_dual(g, tol, max_iter, timing, on_iteration)
+            entries[name], sol = solver_entry_dual(g, tol, max_iter, on_iteration)
         elif name == "oracle":
-            entries[name], profile = solver_entry_oracle(g, oracle_limit, timing)
+            entries[name], profile = solver_entry_oracle(g, oracle_limit)
         else:
             raise ValidationError(f"unknown solver {name!r}")
+    if not timing:
+        for entry in entries.values():
+            if "wall_ms" in entry:
+                entry["wall_ms"] = 0.0
 
     if profile is None:
         profile = _attached_profile(g, oracle_limit)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -35,6 +36,15 @@ def _write_triangle(tmp_path) -> str:
     return str(path)
 
 
+# sha256 of the planted sidecar for pinned `gen planted` arguments
+PLANTED_SIDECARS = {
+    ("12", "4", "uniform:0.5:1.5", "7"):
+        "df4f18be130f773e962dff7b7bc6eec61e0c141979d7351b9227508f4d8de95a",
+    ("6", "3", "two_point:0.25:1:2", "9"):
+        "3b027488ee5008f75c5fb0581b8634ae88461bab453ebae8598af8334ddb811b",
+}
+
+
 def test_gen_planted_writes_files(tmp_path, capsys):
     out = tmp_path / "inst"
     rc = main(
@@ -53,6 +63,12 @@ def test_gen_planted_writes_files(tmp_path, capsys):
     assert len(sidecar["planted_cut"]) == 12
     g = load_graph(printed)
     assert g.n == 12
+    for (n, gamma, dist, seed), digest in PLANTED_SIDECARS.items():
+        argv = ["gen", "planted", "--n", n, "--gamma", gamma, "--dist", dist, "--seed", seed]
+        assert main(argv + ["-o", str(out)]) == 0
+        printed = capsys.readouterr().out.strip()
+        data = Path(printed.replace(".graph", ".json")).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_gen_planted_odd_n_exits_2(tmp_path):
@@ -331,7 +347,8 @@ def _strict_json_input(tmp_path, capsys, case: str) -> str:
     elif case == "cap_k44":  # W.sum() is exactly the cap
         g = WeightedGraph(complete_bipartite(4).weights * (graph.MAX_WEIGHT_SUM / 32))
     else:  # a weighted instance within a factor 2 of the cap
-        w = gen_planted(14, WeightDistribution.parse("uniform:0.5:1.5"), 4.0, seed=2).graph.weights
+        g, _ = gen_planted(14, WeightDistribution.parse("uniform:0.5:1.5"), 4.0, seed=2)
+        w = g.weights
         g = WeightedGraph(w * 2.0 ** math.floor(math.log2(graph.MAX_WEIGHT_SUM / w.sum())))
     path = tmp_path / f"{case}.graph"
     path.write_text(dumps_graph(g))
@@ -733,6 +750,62 @@ def test_bench_deterministic_and_correct(tmp_path):
     assert lines[0] == "n,gamma,dist,trials,solver,recovery_rate,certified_rate,mean_ms"
     rows = {tuple(ln.split(",")[:2]): ln.split(",") for ln in lines[1:]}
     assert float(rows[("12", "4.0")][5]) == 1.0
+
+
+def test_timed_solve_differs_from_no_timing_only_in_durations(tmp_path, capsys):
+    gen = ["gen", "planted", "--n", "12", "--gamma", "2", "--seed", "3", "-o", str(tmp_path)]
+    assert main(gen) == 0
+    path = capsys.readouterr().out.strip()
+    reports = []
+    for flags in ([], ["--no-timing"]):
+        assert main(["solve", "--solver", "all", *flags, path]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    timed, untimed = reports
+    _validate(timed)
+    assert timed["parameters"]["timing"] is True
+    assert timed["solvers"]["contract"] == {"skipped": "weighted input (simple graphs only)"}
+    for name in ("greedy", "spectral", "dual", "oracle"):
+        entry = timed["solvers"][name]
+        assert isinstance(entry["wall_ms"], float) and entry["wall_ms"] >= 0.0
+        entry["wall_ms"] = 0.0
+    timed["parameters"]["timing"] = False
+    assert timed == untimed
+
+
+def test_timed_bench_differs_from_no_timing_only_in_mean_ms(tmp_path):
+    args = ["bench", "--n", "8", "--gamma", "4.0", "--trials", "2",
+            "--solver", "dual,greedy,oracle,spectral"]
+    timed, untimed = tmp_path / "timed.csv", tmp_path / "untimed.csv"
+    assert main(args + ["-o", str(timed)]) == 0
+    assert main(args + ["--no-timing", "-o", str(untimed)]) == 0
+    rows = [[ln.split(",") for ln in f.read_text().splitlines()] for f in (timed, untimed)]
+    assert len(rows[0]) == len(rows[1]) == 5
+    for a, b in zip(*rows):
+        assert a[:-1] == b[:-1]
+    for a, b in zip(rows[0][1:], rows[1][1:]):
+        assert float(a[-1]) >= 0.0 and b[-1] == "0.000"
+
+
+def test_bench_greedy_spectral_and_oracle_cells(tmp_path):
+    args = ["bench", "--n", "8", "--gamma", "4.0", "--trials", "3",
+            "--solver", "greedy,spectral,oracle", "--no-timing"]
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["-o", str(out1)]) == 0
+    assert main(args + ["-o", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    rows = [ln.split(",") for ln in out1.read_text().splitlines()[1:]]
+    assert {r[4]: (float(r[5]), float(r[6])) for r in rows} == {
+        "greedy": (1.0, 0.0),
+        "oracle": (1.0, 1.0),
+        "spectral": (1.0, 0.0),
+    }
+
+
+def test_solve_output_to_a_directory_exits_2(tmp_path, capsys):
+    tri = _write_triangle(tmp_path)
+    assert main(["solve", "--no-timing", "-o", str(tmp_path), tri]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
 
 
 def test_parser_is_built_once_and_survives_an_error_exit(tmp_path, capsys, monkeypatch):

@@ -183,7 +183,7 @@ def test_engine_matches_reference(g):
     ],
 )
 def test_engine_matches_reference_on_planted(n, dist, gamma):
-    g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=n).graph
+    g, _ = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=n)
     assert_matches_reference(g, [gamma, 2.0 * gamma])
 
 
@@ -281,6 +281,19 @@ def test_high_degree_on_bipartite_family():
         res = high_degree_solve(g)
         expected = Cut(np.array([1] * m + [-1] * m, dtype=np.int8))
         assert res.cut == expected
+
+
+def test_high_degree_greedy_quotient_on_a_perfect_matching():
+    # no two vertices share a neighbour: 42 singleton components, more than
+    # EXHAUSTIVE_BITS, so the quotient (the matching itself) goes to greedy
+    w = np.zeros((42, 42))
+    for i in range(0, 42, 2):
+        w[i, i + 1] = w[i + 1, i] = 1.0
+    g = WeightedGraph(w)
+    res = high_degree_solve(g)
+    assert res.component_count == 42
+    assert not res.used_exhaustive and not res.heuristic
+    assert cut_value(g, res.cut) == 21.0
 
 
 def test_contraction_soundness_on_random_simple():

@@ -66,11 +66,11 @@ def test_extended_solve_c4_certified(c4):
 
 
 def test_planted_instance_certified_and_exact():
-    inst = gen_planted(14, WeightDistribution.parse("uniform:0.5:1.5"), 4.0, seed=1)
-    sol = solve_min_trace(inst.graph)
-    bf, _, _ = brute_force_max_cut(inst.graph)
+    g, planted = gen_planted(14, WeightDistribution.parse("uniform:0.5:1.5"), 4.0, seed=1)
+    sol = solve_min_trace(g)
+    bf, _, _ = brute_force_max_cut(g)
     assert sol.converged
-    assert sol.best_cut == bf == inst.planted
+    assert sol.best_cut == bf == planted
     assert sol.gap <= 1e-6
 
 
@@ -197,7 +197,7 @@ def test_certificate_is_that_of_the_best_cut(gc):
 def test_lower_bound_is_the_certificate_trace(n, dist, gamma, seed):
     """The best cut's value is summed off the diagonal its certificate holds,
     so the certificate's restored trace never falls below the lower bound."""
-    g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed).graph
+    g, _ = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed)
     sol = solve_min_trace(g, max_iter=300)
     assert sol.lower_bound == float(sol.certificate.diag_shift.sum())
 
@@ -209,7 +209,7 @@ def _solved(rows) -> list[int]:
 
 
 def test_polish_runs_once_per_distinct_rounding(monkeypatch):
-    g = gen_planted(12, WeightDistribution.parse("uniform:0.5:1.5"), 1.0, seed=1).graph
+    g, _ = gen_planted(12, WeightDistribution.parse("uniform:0.5:1.5"), 1.0, seed=1)
     polish = dualsdp.polish_cut
 
     def run() -> tuple[list, list]:
@@ -371,7 +371,7 @@ def test_loop_matches_reference(gc, tol):
     ],
 )
 def test_loop_matches_reference_on_planted(n, dist, gamma, seed):
-    g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed).graph
+    g, _ = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed)
     assert_matches_reference_loop(g, max_iter=300)
 
 
@@ -407,7 +407,7 @@ def test_reused_iterate_is_an_eigenpair_of_its_matrix(graph, monkeypatch, reques
         g = request.getfixturevalue(graph)
     else:
         n, dist, gamma, seed = graph
-        g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed).graph
+        g, _ = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed)
     solves, rows = [], []
     solve = dualsdp.eigen_smallest_two
 
@@ -447,7 +447,7 @@ def test_reused_iterate_is_an_eigenpair_of_its_matrix(graph, monkeypatch, reques
 )
 def test_reuse_matches_fresh_eigensolves_on_planted(n, dist):
     for gamma, seed in [(1.0, 0), (1.25, 1), (2.0, 2)]:
-        g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed).graph
+        g, _ = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed)
         assert_matches_fresh_eigensolves(g, max_iter=300)
 
 

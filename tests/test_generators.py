@@ -52,42 +52,42 @@ def test_distribution_parsing():
 
 
 def test_planted_k2_trivial():
-    inst = gen_planted(2, WeightDistribution.parse("constant:1"), 3.0, seed=0)
-    assert inst.graph.weights[0, 1] == 3.0
-    assert inst.planted.n == 2
+    g, planted = gen_planted(2, WeightDistribution.parse("constant:1"), 3.0, seed=0)
+    assert g.weights[0, 1] == 3.0
+    assert planted.n == 2
 
 
 def test_planted_constant_n4():
-    inst = gen_planted(4, WeightDistribution.parse("constant:1"), 2.0, seed=5)
-    w = inst.graph.weights
-    s = inst.planted.signs
+    g, planted = gen_planted(4, WeightDistribution.parse("constant:1"), 2.0, seed=5)
+    w = g.weights
+    s = planted.signs
     crossing = s[:, None] != s[None, :]
     assert np.all(w[crossing & (w > 0)] == 2.0)
     offs = ~crossing & ~np.eye(4, dtype=bool)
     assert np.all(w[offs] == 1.0)
-    assert cut_value(inst.graph, inst.planted) == 8.0
-    bf, _, _ = brute_force_max_cut(inst.graph)
-    assert bf == inst.planted
+    assert cut_value(g, planted) == 8.0
+    bf, _, _ = brute_force_max_cut(g)
+    assert bf == planted
 
 
 def test_planted_oracle_check_n12():
-    inst = gen_planted(12, WeightDistribution.parse("uniform:0.5:1.5"), 4.0, seed=7)
-    bf, _, unique = brute_force_max_cut(inst.graph)
-    assert bf == inst.planted
+    g, planted = gen_planted(12, WeightDistribution.parse("uniform:0.5:1.5"), 4.0, seed=7)
+    bf, _, unique = brute_force_max_cut(g)
+    assert bf == planted
     assert unique
 
 
 def test_planted_balanced_sides():
     for seed in range(6):
-        inst = gen_planted(10, WeightDistribution.parse("uniform:0.5:1.5"), 2.0, seed=seed)
-        assert int((inst.planted.signs == 1).sum()) == 5
+        _, planted = gen_planted(10, WeightDistribution.parse("uniform:0.5:1.5"), 2.0, seed=seed)
+        assert int((planted.signs == 1).sum()) == 5
 
 
 def test_planted_constant_unique_max_for_gamma_above_one():
     for n in (6, 10, 14):
-        inst = gen_planted(n, WeightDistribution.parse("constant:1"), 1.5, seed=n)
-        bf, _, unique = brute_force_max_cut(inst.graph)
-        assert unique and bf == inst.planted
+        g, planted = gen_planted(n, WeightDistribution.parse("constant:1"), 1.5, seed=n)
+        bf, _, unique = brute_force_max_cut(g)
+        assert unique and bf == planted
 
 
 def test_planted_rejects_odd_n():
@@ -98,12 +98,12 @@ def test_planted_rejects_odd_n():
 def test_golden_outputs_pinned():
     dist = WeightDistribution.parse("uniform:0.5:1.5")
     for seed in (1, 2, 3):
-        inst = gen_planted(8, dist, 2.0, seed=seed)
-        assert _sha(inst.graph) == GOLDEN[("planted", seed)]
+        g, _ = gen_planted(8, dist, 2.0, seed=seed)
+        assert _sha(g) == GOLDEN[("planted", seed)]
         g = gen_gnp_simple(10, 0.3, seed=seed)
         assert _sha(g) == GOLDEN[("gnp", seed)]
-    inst = gen_planted(6, WeightDistribution.parse("two_point:0.25:1:2"), 3.0, seed=9)
-    assert _sha(inst.graph) == GOLDEN[("two_point", 9)]
+    g, _ = gen_planted(6, WeightDistribution.parse("two_point:0.25:1:2"), 3.0, seed=9)
+    assert _sha(g) == GOLDEN[("two_point", 9)]
 
 
 def test_gnp_determinism_and_density():

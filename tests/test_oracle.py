@@ -285,12 +285,18 @@ def small_graphs(draw):
     return WeightedGraph(w)
 
 
+# Two-block sweep at _BLOCK_BITS = 2 whose second block tops out inside the
+# global tie window but just below the global maximum.
+_TIE_WINDOW_W = [[0, 1, 2, 1], [1, 0, 1 + 3e-10, 2], [2, 1 + 3e-10, 0, 1], [1, 2, 1, 0]]
+
+
 @pytest.mark.parametrize("block_bits", [2, oracle._BLOCK_BITS])
 @settings(max_examples=100, deadline=None)
 @given(g=small_graphs())
 @example(g=WeightedGraph(np.zeros((1, 1))))
 @example(g=WeightedGraph(np.zeros((2, 2))))
 @example(g=WeightedGraph(np.array([[0.0, 0.7], [0.7, 0.0]])))
+@example(g=WeightedGraph(np.array(_TIE_WINDOW_W)))
 def test_matches_reference_enumerator(block_bits, g):
     ref = reference_profile(g)
     # tiny blocks spread n <= 9 over many blocks, as large n does
@@ -311,6 +317,23 @@ def test_matches_reference_enumerator(block_bits, g):
             assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-12, abs=1e-300)
 
 
+def test_scan_max_evaluates_a_block_inside_the_tie_window_again():
+    g = WeightedGraph(np.array(_TIE_WINDOW_W, dtype=float))
+    calls = []
+    block = oracle._Kernel.block
+
+    def counted(self, i):
+        calls.append(i)
+        return block(self, i)
+
+    with mock.patch.object(oracle, "_BLOCK_BITS", 2), \
+            mock.patch.object(oracle._Kernel, "block", counted):
+        lowest, ties, second = oracle._scan_max(g)
+    # one pass over both blocks, then the block below the maximum once more
+    assert len(calls) == 3 and sorted(set(calls)) == [0, 1]
+    assert ties == 2 and second is not None
+
+
 def _cut_terms(g: WeightedGraph, s: np.ndarray, mask: int) -> list[float]:
     """The exact terms as a Cut and Python lists give them: T's sides from
     its validated Cut, each sum over a list of the edge weights."""
@@ -327,7 +350,7 @@ def _cut_terms(g: WeightedGraph, s: np.ndarray, mask: int) -> list[float]:
 )
 @pytest.mark.parametrize("n, gamma, seed", [(6, 1.3, 0), (10, 3.0, 28), (12, 2.0, 5)])
 def test_exact_terms_match_the_cut_formula(dist, n, gamma, seed):
-    g = gen_planted(n, WeightDistribution.parse(dist), gamma, seed).graph
+    g, _ = gen_planted(n, WeightDistribution.parse(dist), gamma, seed)
     s = stability_report(g).max_cut.signs
     terms = oracle._exact_terms(g, s)
     for mask in range(1 << (g.n - 1)):
