@@ -13,9 +13,10 @@ Both always return a cut; the accompanying flags say whether the run
 satisfied the stability conditions under which the output is provably
 maximal.
 
-The greedy engine keeps, for every pair of components, the weight between
-their left and right sides in three slot-indexed side-weight matrices, so a
-merge costs O(n) row and column adds and one pass is O(n^2) vector work.
+The greedy engine keeps, for every pair of components, their parallel and
+crossing bundle weights in one symmetric slot-indexed array, so a merge
+costs one O(n) add written to a row and a column, and one pass is O(n^2)
+vector work.
 Candidate bundles whose aggregated weight lies within the rounding bound
 (4 n^2 eps relative) of the best are re-scored from their blocks of W, so
 the chosen merges and the reported weights are exactly those of per-bundle
@@ -101,10 +102,11 @@ def _greedy_engine(w: np.ndarray) -> tuple[np.ndarray, list[MergeStep]]:
     w(L_i, R_j) + w(R_i, L_j).  Ties break to the lower j, then to parallel
     before crossing; i and j are positions in lowest-vertex order.
 
-    Component a lives in slot min(a) of three side-weight matrices LL, LR
-    and RR holding w(L_a, L_b), w(L_a, R_b) and w(R_a, R_b), so i's
-    candidates are the vectors LL[i] + RR[i] and LR[i, :] + LR[:, i], and a
-    merge folds the pair into the lower slot with O(n) row and column adds.
+    Component a lives in slot min(a) of one symmetric bundle array holding
+    bund[a, b] = (w(L_a, L_b) + w(R_a, R_b), w(L_a, R_b) + w(R_a, L_b)), so
+    i's candidates are the row bund[i], and a merge writes one row and one
+    column.  j joins as it is or flipped; flipping swaps its sides and its
+    (parallel, crossing) pair, and it is flipped when c = 0.
     These aggregated sums round differently from a bundle's block sum, so
     every candidate within 4 n^2 eps (relative) of the best is re-scored with
     `_block_weight` in tie-break order: two summation orders of at most n^2
@@ -114,22 +116,27 @@ def _greedy_engine(w: np.ndarray) -> tuple[np.ndarray, list[MergeStep]]:
     nonnegative weights is positive exactly when one of its terms is.
     """
     n = w.shape[0]
-    ll, lr, rr = w.copy(), np.zeros((n, n)), np.zeros((n, n))
+    bund = np.stack([w, np.zeros((n, n))], axis=2)
     sides = [([v], []) for v in range(n)]
     size = np.ones(n, dtype=np.int64)
     live = np.ones(n, dtype=bool)
     window = 1.0 - 4.0 * n * n * np.finfo(np.float64).eps
 
-    def bundle(i: int, j: int, c: int) -> float:
-        (li, ri), (lj, rj) = sides[i], sides[j]
+    def orient(j: int, c: int) -> tuple[list[int], list[int], np.ndarray]:
+        """The sides of j that join L_i and R_i, and j's bundles so oriented."""
+        lj, rj = sides[j]
         if c == 0:
-            return _block_weight(w, li, lj) + _block_weight(w, ri, rj)
-        return _block_weight(w, li, rj) + _block_weight(w, ri, lj)
+            return rj, lj, bund[j, :, ::-1]
+        return lj, rj, bund[j]
+
+    def bundle(i: int, j: int, c: int) -> float:
+        (li, ri), (x, y, _) = sides[i], orient(j, c)
+        return _block_weight(w, li, y) + _block_weight(w, ri, x)
 
     steps: list[MergeStep] = []
     for _ in range(n - 1):
         i = int(np.argmin(np.where(live, size, n + 1)))
-        e = np.stack([ll[i] + rr[i], lr[i] + lr[:, i]], axis=1)  # e[j, c]
+        e = bund[i].copy()  # e[j, c]
         e[~live] = -1.0
         e[i] = -1.0
         candidates = np.argwhere(e >= e.max() * window).tolist()  # in (j, c) order
@@ -145,19 +152,10 @@ def _greedy_engine(w: np.ndarray) -> tuple[np.ndarray, list[MergeStep]]:
             )
         )
 
-        # j's side x joins L_i and its side y joins R_i; the four vectors are
-        # w(x, L_k), w(x, R_k), w(L_k, y) and w(y, R_k) over slots k.
-        (li, ri), (lj, rj) = sides[i], sides[j]
-        if c == 0:
-            x, y, xl, xr, yl, yr = rj, lj, lr[:, j], rr[j], ll[j], lr[j]
-        else:
-            x, y, xl, xr, yl, yr = lj, rj, ll[j], lr[j], lr[:, j], rr[j]
-        new_ll, new_rr = ll[i] + xl, rr[i] + yr
-        new_lr_row, new_lr_col = lr[i] + xr, lr[:, i] + yl
+        (li, ri), (x, y, bj) = sides[i], orient(j, c)
+        merged = bund[i] + bj
         d = min(i, j)
-        ll[d], ll[:, d] = new_ll, new_ll
-        rr[d], rr[:, d] = new_rr, new_rr
-        lr[d], lr[:, d] = new_lr_row, new_lr_col
+        bund[d], bund[:, d] = merged, merged
         sides[d] = (sorted(li + x), sorted(ri + y))
         size[d] = size[i] + size[j]
         live[max(i, j)] = False

@@ -80,14 +80,16 @@ def solve_min_trace(
     """Projected subgradient descent on the exact penalty
     F(d) = sum(d) + rho * max(0, -lambda_min(W + diag(d))) with rho = 2n.
 
-    Starts from the diagonally dominant d = w(i).  Each iterate is restored
-    to feasibility by adding (-lambda_min)+ to all entries, and its
-    sign-rounded bottom eigenvector is polished and scored as a cut to
-    tighten the lower bound, unless the same sign pattern (_rounding_key) was
-    scored before and so cannot raise it.  An iterate costs one eigensolve of
-    W + diag(d), except after a feasible one (lambda_min >= 0): its step is
-    d - s*1, which leaves the eigenvectors alone and lowers every eigenvalue
-    by s, so the next iterate keeps u, takes lambda_min - s, and scores nothing.
+    Starts from the diagonally dominant d = w(i).  Each iterate, like each
+    scored cut's kernel diagonal, is restored to feasibility by adding
+    (-lambda_min)+ to all entries and kept if its trace is the lowest yet.
+    An iterate's sign-rounded bottom eigenvector is polished and scored as a
+    cut to tighten the lower bound, unless the same sign pattern
+    (_rounding_key) was scored before and so cannot raise it.  An iterate
+    costs one eigensolve of W + diag(d), except after a feasible one
+    (lambda_min >= 0): its step is d - s*1, which leaves the eigenvectors
+    alone and lowers every eigenvalue by s, so the next iterate keeps u,
+    takes lambda_min - s, and scores nothing.
     A scored cut whose kernel diagonal is feasible closes the gap exactly.
     The answer is best_cut, the best cut scored, with its certificate;
     converged = True certifies it maximal, and exhausting max_iter leaves it False.
@@ -111,8 +113,18 @@ def solve_min_trace(
     ones = np.ones(n)
     scored: set[bytes] = set()
 
+    def offer(diag: np.ndarray, total: float, lam: float) -> None:
+        """Restore diag (sum total, lambda_min lam) by (-lam)+; keep the lowest trace."""
+        nonlocal best_d, best_trace, best_lambda
+        shift = max(0.0, -lam)
+        trace = total + n * shift
+        if trace < best_trace:
+            best_d = diag + shift
+            best_trace = trace
+            best_lambda = max(lam, 0.0)
+
     def consider_cut(rounded: Cut) -> None:
-        nonlocal lower, best_cut, certificate, best_d, best_trace, best_lambda
+        nonlocal lower, best_cut, certificate
         cut = polish_cut(g, rounded)
         dc = build_diagonal_from_cut(g, cut)
         val = float(dc.sum())
@@ -123,24 +135,13 @@ def solve_min_trace(
         # The kernel diagonal of this cut is the tightest certificate it can
         # get; adopt it whenever it is (restorably) feasible and better.
         certificate = build_certificate(g, cut, dc)
-        lam = certificate.lambda_n
-        shift = max(0.0, -lam)
-        trace_c = val + n * shift
-        if trace_c < best_trace:
-            best_d = dc + shift
-            best_trace = trace_c
-            best_lambda = max(lam, 0.0)
+        offer(dc, val, certificate.lambda_n)
 
     fresh = True  # iteration 1 solves; after that, only a step with lam < 0 does
     for t in range(1, max_iter + 1):
         if fresh:
             lam, u, _ = eigen_smallest_two(_shifted(g, d))
-        shift = max(0.0, -lam)
-        trace_f = float(d.sum()) + n * shift
-        if trace_f < best_trace:
-            best_d = d + shift
-            best_trace = trace_f
-            best_lambda = max(lam, 0.0)
+        offer(d, float(d.sum()), lam)
 
         if fresh:
             key = _rounding_key(u)

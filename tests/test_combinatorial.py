@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import namedtuple
 
@@ -27,7 +28,7 @@ from conftest import complete_bipartite, random_weighted
 # --- reference engine: one block sum per component pair and bundle ------
 #
 # The original engine, kept verbatim as the ground truth for the
-# side-weight-matrix engine; only the step record is a plain tuple.
+# bundle-array engine; only the step record is a plain tuple.
 
 MergeStep = namedtuple(
     "MergeStep", "iteration component_sizes chosen_i chosen_j chosen_c edge_weight_added"
@@ -185,6 +186,22 @@ def test_engine_matches_reference(g):
 def test_engine_matches_reference_on_planted(n, dist, gamma):
     g, _ = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=n)
     assert_matches_reference(g, [gamma, 2.0 * gamma])
+
+
+@pytest.mark.parametrize(
+    "dist, gamma, digest",
+    [
+        ("uniform:0.5:1.5", 2.0, "a29716b9e5415b01f09fea9bcac05d50bd21b549b431ad087eea578951be3246"),
+        ("constant:0.7", 1.5, "cbeb677f947d4e5577a307b77ad2eae4a2647c01611ad640499509ac6916795c"),
+    ],
+)
+def test_engine_pinned_at_n200(dist, gamma, digest):
+    # the reference engine is too slow past n = 100, so digests of the trace
+    # and the cut pin the engine at the size solve-stable-large benchmarks
+    g, _ = gen_planted(200, WeightDistribution.parse(dist), gamma, seed=200)
+    cut, steps = find_max_cut_greedy(g)
+    trace = [(s.chosen_i, s.chosen_j, s.chosen_c, s.edge_weight_added.hex(), s.bundles) for s in steps]
+    assert hashlib.sha256(repr(trace).encode() + cut.signs.tobytes()).hexdigest() == digest
 
 
 def test_greedy_c4(c4):

@@ -368,6 +368,10 @@ def test_loop_matches_reference(gc, tol):
         (16, "uniform:0.5:1.5", 1.25, 3),
         (12, "two_point:0.3:0.5:1.5", 1.2, 4),
         (16, "constant:0.7", 1.0, 5),
+        # solve-stable-large sizes, each certified at iteration 1
+        (100, "uniform:0.5:1.5", 2.0, 6),
+        (200, "uniform:0.5:1.5", 4.0, 7),
+        (200, "constant:0.7", 2.0, 8),
     ],
 )
 def test_loop_matches_reference_on_planted(n, dist, gamma, seed):
