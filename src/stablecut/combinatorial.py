@@ -14,9 +14,9 @@ satisfied the stability conditions under which the output is provably
 maximal.
 
 The greedy engine keeps, for every pair of components, their parallel and
-crossing bundle weights in one symmetric slot-indexed array, so a merge
-costs one O(n) add written to a row and a column, and one pass is O(n^2)
-vector work.
+crossing bundle weights in one symmetric slot-indexed array, and each
+component's sides as sorted index arrays, so a merge costs one O(n) add
+written to a row and a column, and one pass is O(n^2) vector work.
 Candidate bundles whose aggregated weight lies within the rounding bound
 (4 n^2 eps relative) of the best are re-scored from their blocks of W, so
 the chosen merges and the reported weights are exactly those of per-bundle
@@ -67,30 +67,28 @@ class MergeStep:
 
 
 def _support_components(g: WeightedGraph) -> list[list[int]]:
-    n = g.n
+    """The support's connected components as sorted lists, in lowest-vertex
+    order; each grows from its lowest vertex one frontier at a time."""
     adj = g.support
-    seen = np.zeros(n, dtype=bool)
+    seen = np.zeros(g.n, dtype=bool)
     comps = []
-    for root in range(n):
+    for root in range(g.n):
         if seen[root]:
             continue
-        stack = [root]
-        seen[root] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            fresh = np.flatnonzero(adj[v] & ~seen)
-            seen[fresh] = True
-            stack.extend(fresh.tolist())
-        comps.append(sorted(comp))
+        comp = np.zeros(g.n, dtype=bool)
+        comp[root] = True
+        frontier = comp.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~comp
+            comp |= frontier
+        seen |= comp
+        comps.append(np.flatnonzero(comp).tolist())
     return comps
 
 
-def _block_weight(w: np.ndarray, a: list[int], b: list[int]) -> float:
-    if not a or not b:
-        return 0.0
-    return float(w[np.ix_(a, b)].sum())
+def _block_weight(w: np.ndarray, a: list[int] | np.ndarray, b: list[int] | np.ndarray) -> float:
+    """w summed over the block of rows a and columns b, index lists or arrays."""
+    return float(w.take(a, axis=0).take(b, axis=1).sum())
 
 
 def _greedy_engine(w: np.ndarray) -> tuple[np.ndarray, list[MergeStep]]:
@@ -105,8 +103,11 @@ def _greedy_engine(w: np.ndarray) -> tuple[np.ndarray, list[MergeStep]]:
     Component a lives in slot min(a) of one symmetric bundle array holding
     bund[a, b] = (w(L_a, L_b) + w(R_a, R_b), w(L_a, R_b) + w(R_a, L_b)), so
     i's candidates are the row bund[i], and a merge writes one row and one
-    column.  j joins as it is or flipped; flipping swaps its sides and its
-    (parallel, crossing) pair, and it is flipped when c = 0.
+    column.  A merged-away slot gets size n + 1 and a zero column, and
+    bund[a, a] is zero, so one argmin picks i and bund[i] holds only live
+    candidates; a position is the count of live slots below.  Sides are
+    sorted index arrays.  j joins as it is or flipped; flipping swaps its
+    sides and its (parallel, crossing) pair, and it is flipped when c = 0.
     These aggregated sums round differently from a bundle's block sum, so
     every candidate within 4 n^2 eps (relative) of the best is re-scored with
     `_block_weight` in tie-break order: two summation orders of at most n^2
@@ -117,12 +118,13 @@ def _greedy_engine(w: np.ndarray) -> tuple[np.ndarray, list[MergeStep]]:
     """
     n = w.shape[0]
     bund = np.stack([w, np.zeros((n, n))], axis=2)
-    sides = [([v], []) for v in range(n)]
+    empty = np.empty(0, dtype=np.intp)
+    sides = [(v, empty) for v in np.arange(n, dtype=np.intp)[:, None]]
     size = np.ones(n, dtype=np.int64)
     live = np.ones(n, dtype=bool)
     window = 1.0 - 4.0 * n * n * np.finfo(np.float64).eps
 
-    def orient(j: int, c: int) -> tuple[list[int], list[int], np.ndarray]:
+    def orient(j: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sides of j that join L_i and R_i, and j's bundles so oriented."""
         lj, rj = sides[j]
         if c == 0:
@@ -135,30 +137,29 @@ def _greedy_engine(w: np.ndarray) -> tuple[np.ndarray, list[MergeStep]]:
 
     steps: list[MergeStep] = []
     for _ in range(n - 1):
-        i = int(np.argmin(np.where(live, size, n + 1)))
-        e = bund[i].copy()  # e[j, c]
-        e[~live] = -1.0
-        e[i] = -1.0
-        candidates = np.argwhere(e >= e.max() * window).tolist()  # in (j, c) order
+        i = int(np.argmin(size))
+        e = bund[i]  # e[j, c], zero at i and at merged-away slots
+        candidates = [divmod(k, 2) for k in np.flatnonzero(e >= e.max() * window).tolist()]
         weight, j, c = max(((bundle(i, j, c), j, c) for j, c in candidates), key=lambda t: t[0])
-        position = np.cumsum(live) - 1
         steps.append(
             MergeStep(
-                chosen_i=int(position[i]),
-                chosen_j=int(position[j]),
+                chosen_i=int(np.count_nonzero(live[:i])),
+                chosen_j=int(np.count_nonzero(live[:j])),
                 chosen_c=c,
                 edge_weight_added=weight,
-                bundles=int((e > 0).sum(axis=0).max()),
+                bundles=int(max(np.count_nonzero(e[:, 0]), np.count_nonzero(e[:, 1]))),
             )
         )
 
         (li, ri), (x, y, bj) = sides[i], orient(j, c)
         merged = bund[i] + bj
-        d = min(i, j)
+        d, gone = min(i, j), max(i, j)
+        merged[d] = 0.0
         bund[d], bund[:, d] = merged, merged
-        sides[d] = (sorted(li + x), sorted(ri + y))
-        size[d] = size[i] + size[j]
-        live[max(i, j)] = False
+        bund[:, gone] = 0.0
+        sides[d] = (np.sort(np.concatenate((li, x))), np.sort(np.concatenate((ri, y))))
+        size[d], size[gone] = size[i] + size[j], n + 1
+        live[gone] = False
 
     signs = -np.ones(n, dtype=np.int8)
     signs[sides[0][0]] = 1

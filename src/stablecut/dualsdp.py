@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .graph import Cut, WeightedGraph, _side_weights
 from .spectral import (
     SpectralCertificate, _rounding_key, _shifted, _sign_cut, build_certificate,
-    build_diagonal_from_cut, eigen_smallest_two,
+    build_diagonal_from_cut, eigen_smallest_two, spectral_partition,
 )
 
 __all__ = [
@@ -80,14 +80,19 @@ def solve_min_trace(
     """Projected subgradient descent on the exact penalty
     F(d) = sum(d) + rho * max(0, -lambda_min(W + diag(d))) with rho = 2n.
 
-    Starts from the diagonally dominant d = w(i).  Each iterate, like each
-    scored cut's kernel diagonal, is restored to feasibility by adding
-    (-lambda_min)+ to all entries and kept if its trace is the lowest yet.
-    An iterate's sign-rounded bottom eigenvector is polished and scored as a
-    cut to tighten the lower bound, unless the same sign pattern
-    (_rounding_key) was scored before and so cannot raise it.  An iterate
-    costs one eigensolve of W + diag(d), except after a feasible one
-    (lambda_min >= 0): its step is d - s*1, which leaves the eigenvectors
+    A fast path first polishes W's spectral cut (its eigensolve is memoized
+    on the graph) and certifies it.  If that certificate's restored trace is
+    below sum(w(i)) and within tol of the cut, the run ends converged at
+    iteration 1 with no eigensolve of W + diag(d), and its one on_iteration
+    row carries the certificate's lambda_n; otherwise the cut is dropped
+    unscored.  The loop starts from the diagonally dominant d = w(i).  Each
+    iterate, like each scored cut's kernel diagonal, is restored to
+    feasibility by adding (-lambda_min)+ to all entries and kept if its trace
+    is the lowest yet.  An iterate's sign-rounded bottom eigenvector is
+    polished and scored as a cut to tighten the lower bound, unless the same
+    sign pattern (_rounding_key) was scored before and so cannot raise it.
+    An iterate costs one eigensolve of W + diag(d), except after a feasible
+    one (lambda_min >= 0): its step is d - s*1, which leaves the eigenvectors
     alone and lowers every eigenvalue by s, so the next iterate keeps u,
     takes lambda_min - s, and scores nothing.
     A scored cut whose kernel diagonal is feasible closes the gap exactly.
@@ -103,13 +108,6 @@ def solve_min_trace(
     degrees = w.sum(axis=1)
     step0 = max(1.0, float(degrees.mean())) / math.sqrt(n)
 
-    d = degrees.copy()
-    best_d = d.copy()
-    best_trace = float(d.sum())
-    best_lambda = 0.0
-    lower = -math.inf
-    best_cut = certificate = None  # iteration 1 scores a cut, and any value beats -inf
-    converged = False
     ones = np.ones(n)
     scored: set[bytes] = set()
 
@@ -137,6 +135,29 @@ def solve_min_trace(
         certificate = build_certificate(g, cut, dc)
         offer(dc, val, certificate.lambda_n)
 
+    def solution(t: int, gap: float, converged: bool) -> DualSolution:
+        return DualSolution(
+            d=best_d, trace=best_trace, lambda_min=best_lambda, lower_bound=lower, gap=gap,
+            iterations=t, converged=converged, best_cut=best_cut, certificate=certificate,
+        )
+
+    # The fast path scores W's spectral cut as iteration 1 scores a cut.  If
+    # its certificate closes the gap, that is the run; if not, it is dropped.
+    best_trace, lower = float(degrees.sum()), -math.inf
+    consider_cut(spectral_partition(g))
+    gap = best_trace - lower
+    if best_trace < degrees.sum() and gap <= tol * max(1.0, abs(best_trace)):
+        if on_iteration is not None:
+            on_iteration(1, best_trace, certificate.lambda_n, gap)
+        return solution(1, gap, True)
+
+    d = degrees.copy()
+    best_d = d.copy()
+    best_trace = float(d.sum())
+    best_lambda = 0.0
+    lower = -math.inf
+    best_cut = certificate = None  # iteration 1 scores a cut, and any value beats -inf
+    converged = False
     fresh = True  # iteration 1 solves; after that, only a step with lam < 0 does
     for t in range(1, max_iter + 1):
         if fresh:
@@ -164,14 +185,4 @@ def solve_min_trace(
             d = d - step * ones
             lam -= step
 
-    return DualSolution(
-        d=best_d,
-        trace=best_trace,
-        lambda_min=best_lambda,
-        lower_bound=lower,
-        gap=gap,
-        iterations=t,
-        converged=converged,
-        best_cut=best_cut,
-        certificate=certificate,
-    )
+    return solution(t, gap, converged)

@@ -691,13 +691,73 @@ def test_solve_eigensolves_each_matrix_once(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["solvers"]["dual"]["certified"] and doc["solvers"]["dual"]["iterations"] == 1
-        # W, the first dual iterate and the certified cut's kernel matrix,
-        # whose certificate the dual hands to the conditions block
-        assert [len(m) for m in calls] == [int(n)] * 3
+        # W and the certified spectral cut's kernel matrix, whose certificate
+        # the dual hands to the conditions block; W + diag(degrees) is never
+        # solved, since the fast path certifies before the first iterate
+        assert [len(m) for m in calls] == [int(n)] * 2
+        w = load_graph(path).weights
+        kernel = np.diag(doc["conditions"]["certificate"]["diag_shift"])
+        assert np.array_equal(calls[0], w) and np.array_equal(calls[1], w + kernel)
         # each op re-solves: nothing is remembered across graphs
         assert main(argv) == 0
-        assert len(calls) == 6
+        assert len(calls) == 4
         capsys.readouterr()
+
+
+def _paths(doc, path=()):
+    """(path, value) for every leaf of a JSON document, in document order."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _paths(value, path + (k,))
+    else:
+        yield path, doc
+
+
+# run report floats that do not scale with W: stability ratios, the
+# thresholds they are compared with, tolerances, and the zeroed durations
+SCALE_FREE = {"gamma_local", "ratio_bound", "gamma", "lhs", "rhs", "tol", "tie_rel_tol",
+              "psd_rel_tol", "wall_ms"}
+
+
+@pytest.mark.parametrize(
+    "n, dist, gamma, seed",
+    [
+        (100, "uniform:0.5:1.5", 2.0, 1),
+        (200, "uniform:0.5:1.5", 4.0, 2),
+        (200, "two_point:0.3:0.5:1.5", 2.0, 3),
+        (150, "constant:0.7", 2.0, 5),
+    ],
+)
+def test_solve_report_scales_with_the_weights(tmp_path, capsys, n, dist, gamma, seed):
+    # metamorphic, so no oracle is needed at solve-stable-large sizes: scaling
+    # W by 2 doubles every weight-valued float exactly, and by 2 or 2^10 it
+    # changes no cut, verdict, iteration count or greedy choice
+    g, _ = gen_planted(n, WeightDistribution.parse(dist), gamma, seed=seed)
+    # the max(1, .) floors (polish's flip threshold, the dual's first step,
+    # the gap and PSD tolerances) do not bind, so only W's scale moves
+    assert g.weights.max() > 1.0 and g.weights.sum(axis=1).mean() > 1.0
+    docs = {}
+    for k in (1.0, 2.0, 1024.0):
+        path = tmp_path / f"scaled-{k}.graph"
+        path.write_text(dumps_graph(WeightedGraph(k * g.weights)))
+        assert main(["solve", "--solver", "all", "--gamma", repr(gamma), "--no-timing", str(path)]) == 0
+        docs[k] = json.loads(capsys.readouterr().out)
+        docs[k]["instance"].pop("path")
+    dual = docs[1.0]["solvers"]["dual"]
+    assert dual["certified"] and dual["iterations"] == 1
+    base = list(_paths(docs[1.0]))
+    for k in (2.0, 1024.0):
+        scaled = list(_paths(docs[k]))
+        assert [p for p, _ in scaled] == [p for p, _ in base]
+        for (p, a), (_, b) in zip(base, scaled):
+            if not isinstance(a, float):
+                assert a == b, p
+            elif k == 2.0:
+                name = [key for key in p if isinstance(key, str)][-1]
+                assert b == (a if name in SCALE_FREE else k * a), p
 
 
 def test_uncertified_solve_eigensolves_nothing_after_the_dual(tmp_path, capsys, monkeypatch):
@@ -799,6 +859,26 @@ def test_bench_greedy_spectral_and_oracle_cells(tmp_path):
         "oracle": (1.0, 1.0),
         "spectral": (1.0, 0.0),
     }
+
+
+def test_bench_greedy_is_certified_only_below_the_exact_gamma_star(tmp_path):
+    # at nominal gamma 16 the largest bundle count is 15, but the drawn
+    # instances' exact gamma* is lower (11.4-12.7 in the first three trials),
+    # so no greedy answer is proven even though every one is recovered
+    args = ["bench", "--n", "16", "--gamma", "16", "--trials", "10",
+            "--solver", "greedy,oracle", "--seed", "0", "--no-timing"]
+    out = tmp_path / "bench.csv"
+    assert main(args + ["-o", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert {r[4]: (float(r[5]), float(r[6])) for r in rows}["greedy"] == (1.0, 0.0)
+    # above the oracle's auto-attach size nothing is proven, so greedy reports 0
+    assert main(["bench", "--n", "18", "--gamma", "16", "--trials", "2", "--solver", "greedy",
+                 "--no-timing", "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[5:7] == ["1.000000", "0.000000"]
+    # far more stable instances do prove every greedy answer
+    assert main(["bench", "--n", "6", "--gamma", "100", "--trials", "5", "--solver", "greedy",
+                 "--no-timing", "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[5:7] == ["1.000000", "1.000000"]
 
 
 def test_solve_output_to_a_directory_exits_2(tmp_path, capsys):

@@ -204,6 +204,62 @@ def test_engine_pinned_at_n200(dist, gamma, digest):
     assert hashlib.sha256(repr(trace).encode() + cut.signs.tobytes()).hexdigest() == digest
 
 
+# --- reference components: a per-vertex depth-first search ---
+#
+# The original _support_components, kept verbatim as the ground truth for
+# the frontier-at-a-time search.
+
+
+def _reference_support_components(g: WeightedGraph) -> list[list[int]]:
+    n = g.n
+    adj = g.support
+    seen = np.zeros(n, dtype=bool)
+    comps = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        stack = [root]
+        seen[root] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            fresh = np.flatnonzero(adj[v] & ~seen)
+            seen[fresh] = True
+            stack.extend(fresh.tolist())
+        comps.append(sorted(comp))
+    return comps
+
+
+@st.composite
+def clustered_graphs(draw):
+    """Several random components on shuffled vertices, some of them isolated."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5))
+    order = draw(st.permutations(range(sum(sizes))))
+    w = np.zeros((len(order), len(order)))
+    start = 0
+    for size in sizes:
+        block = order[start:start + size]
+        start += size
+        for u, v in itertools.combinations(block, 2):
+            if draw(st.booleans()):
+                w[u, v] = w[v, u] = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return WeightedGraph(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(clustered_graphs(), greedy_graphs()))
+@example(g=WeightedGraph(np.zeros((1, 1))))
+@example(g=WeightedGraph(np.zeros((2, 2))))
+@example(g=WeightedGraph(np.array([[0.0, 1.0], [1.0, 0.0]])))
+@example(g=WeightedGraph(np.zeros((7, 7))))
+@example(g=loads_graph("6 3\n0 5 1\n1 4 1\n2 4 1\n"))
+def test_support_components_match_reference(g):
+    comps = _support_components(g)
+    assert comps == _reference_support_components(g)
+    assert all(type(v) is int for comp in comps for v in comp)
+
+
 def test_greedy_c4(c4):
     cut, _ = find_max_cut_greedy(c4)
     assert cut == Cut(np.array([1, -1, 1, -1]))

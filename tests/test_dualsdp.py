@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -21,7 +22,9 @@ from stablecut import (
 )
 from stablecut import dualsdp
 from stablecut.errors import ValidationError
-from stablecut.spectral import _shifted, _sign_cut, build_diagonal_from_cut, eigen_smallest_two
+from stablecut.spectral import (
+    _shifted, _sign_cut, build_diagonal_from_cut, eigen_smallest_two, spectral_partition,
+)
 
 from conftest import random_weighted
 
@@ -225,9 +228,11 @@ def test_polish_runs_once_per_distinct_rounding(monkeypatch):
     # a key equal only to itself, so the dual polishes every rounding
     monkeypatch.setattr(dualsdp, "_rounding_key", lambda u: object())
     every, every_rows = run()
-    assert len(every) == len(_solved(every_rows))  # one rounding per eigensolve
+    # the fast path polishes W's spectral cut first, whatever the keys
+    assert polished[0] == every[0] == spectral_partition(g)
+    assert len(every) == 1 + len(_solved(every_rows))  # one rounding per eigensolve
     # each distinct rounding is polished once, in the order it first appears
-    assert polished == list(dict.fromkeys(every))
+    assert polished[1:] == list(dict.fromkeys(every[1:]))
     assert len(polished) < len(every)
     assert rows == every_rows
 
@@ -235,16 +240,20 @@ def test_polish_runs_once_per_distinct_rounding(monkeypatch):
 # --- reference loop: one Cut per iteration ---
 #
 # solve_min_trace as it was before it keyed roundings by their sign bytes,
-# kept as the ground truth for the loop; only DualSolution is qualified, and
+# kept as the ground truth for the loop; only DualSolution, polish_cut and
+# build_certificate are qualified, so counting them counts both solvers, and
 # a cut's value is the sum of its kernel diagonal, from the same
 # build_diagonal_from_cut as the certificate's.  It keeps the eigenpair
 # across the step after a feasible iterate as solve_min_trace does;
-# reuse=False solves every iterate afresh instead.
+# reuse=False solves every iterate afresh instead.  In front of the loop it
+# tries the fast path, W's own spectral cut, and returns at iteration 1 if
+# that cut's certificate alone proves it maximal; fast=False runs the loop
+# alone.
 
 
 def _reference_solve_min_trace(
     g, tol=dualsdp.DEFAULT_TOL, max_iter=dualsdp.DEFAULT_MAX_ITER, on_iteration=None,
-    reuse=True,
+    reuse=True, fast=True,
 ):
     if g.n < 1:
         raise ValidationError("graph must be nonempty")
@@ -254,6 +263,28 @@ def _reference_solve_min_trace(
     rho = 2.0 * n
     degrees = w.sum(axis=1)
     step0 = max(1.0, float(degrees.mean())) / math.sqrt(n)
+
+    if fast:
+        cut = dualsdp.polish_cut(g, _sign_cut(eigen_smallest_two(w)[1]))
+        certificate = dualsdp.build_certificate(g, cut)
+        val = float(certificate.diag_shift.sum())
+        lam = certificate.lambda_n
+        trace_c = val + n * max(0.0, -lam)
+        gap = trace_c - val
+        if trace_c < float(degrees.sum()) and gap <= tol * max(1.0, abs(trace_c)):
+            if on_iteration is not None:
+                on_iteration(1, trace_c, lam, gap)
+            return dualsdp.DualSolution(
+                d=certificate.diag_shift + max(0.0, -lam),
+                trace=trace_c,
+                lambda_min=max(lam, 0.0),
+                lower_bound=val,
+                gap=gap,
+                iterations=1,
+                converged=True,
+                best_cut=cut,
+                certificate=certificate,
+            )
 
     d = degrees.copy()
     best_d = d.copy()
@@ -270,7 +301,7 @@ def _reference_solve_min_trace(
         if rounded in scored:
             return
         scored.add(rounded)
-        cut = polish_cut(g, rounded)
+        cut = dualsdp.polish_cut(g, rounded)
         val = float(build_diagonal_from_cut(g, cut).sum())
         if val <= lower:
             return
@@ -278,7 +309,7 @@ def _reference_solve_min_trace(
         best_cut = cut
         # The kernel diagonal of this cut is the tightest certificate it can
         # get; adopt it whenever it is (restorably) feasible and better.
-        certificate = build_certificate(g, cut)
+        certificate = dualsdp.build_certificate(g, cut)
         dc, lam = certificate.diag_shift, certificate.lambda_n
         shift = max(0.0, -lam)
         trace_c = val + n * shift
@@ -393,6 +424,28 @@ def test_loop_matches_reference_on_small_graphs(max_iter, unit_triangle, triangl
     assert min(lams) < 0 or max_iter < 3
 
 
+@pytest.mark.parametrize("max_iter", [1, 40, 400])
+def test_failed_fast_path_costs_one_polish_and_one_certificate(max_iter, unit_triangle, monkeypatch):
+    # the unit triangle is never certified, so the fast path's spectral cut
+    # is dropped: the run is the loop alone's, bit for bit, plus that cut's
+    # one polish and one certificate
+    calls = []
+    for name in ("polish_cut", "build_certificate"):
+        counted = getattr(dualsdp, name)
+        monkeypatch.setattr(dualsdp, name, lambda *a, name=name, f=counted: calls.append(name) or f(*a))
+    rows, loop_rows = [], []
+    sol = solve_min_trace(unit_triangle, max_iter=max_iter, on_iteration=lambda *row: rows.append(row))
+    made = collections.Counter(calls)
+    calls.clear()
+    loop = _reference_solve_min_trace(
+        unit_triangle, max_iter=max_iter, on_iteration=lambda *row: loop_rows.append(row), fast=False
+    )
+    assert not sol.converged and sol.iterations == max_iter
+    assert made == {name: k + 1 for name, k in collections.Counter(calls).items()}
+    assert [_bits(row) for row in rows] == [_bits(row) for row in loop_rows]
+    assert _bits(sol) == _bits(loop)
+
+
 # --- the eigenpair kept across a feasible iterate's step ---
 
 
@@ -456,10 +509,21 @@ def test_reuse_matches_fresh_eigensolves_on_planted(n, dist):
 
 
 def test_reuse_matches_fresh_eigensolves_when_certified_late():
-    # the dual certifies these at iteration 9 and 2, after reused iterates
-    for g, iterations in [(random_weighted(7, 26, 1.0), 9), (random_weighted(9, 31, 0.3), 2)]:
+    # the dual certifies these at iteration 9 and 3, after reused iterates
+    for g, iterations in [(random_weighted(7, 26, 1.0), 9), (random_weighted(7, 50, 0.3), 3)]:
         sol = assert_matches_fresh_eigensolves(g, max_iter=2000)
         assert sol.converged and sol.iterations == iterations
+
+
+def test_fast_path_ends_at_iteration_1_where_the_loop_certifies_later():
+    # a stated change: the loop alone certifies this graph at iteration 2,
+    # and the fast path at iteration 1, with a cut of the same value
+    g = random_weighted(9, 31, 0.3)
+    loop = _reference_solve_min_trace(g, fast=False)
+    sol = solve_min_trace(g)
+    assert (loop.converged, loop.iterations, sol.converged, sol.iterations) == (True, 2, True, 1)
+    assert sol.lower_bound == loop.lower_bound
+    assert sol.best_cut == brute_force_max_cut(g)[0]
 
 
 def assert_matches_fresh_eigensolves(g: WeightedGraph, **kwargs) -> dualsdp.DualSolution:
