@@ -49,7 +49,7 @@ class WeightedGraph:
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)  # a copy: the caller's array stays theirs
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError(f"weight matrix must be square, got shape {w.shape}")
         if not np.all(np.isfinite(w)):

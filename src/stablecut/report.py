@@ -9,8 +9,8 @@ Every eigenvalue of W comes from its one eigendecomposition, memoized on the
 graph (spectral.eigenvalues_of_w), and a conditions block computes the
 candidate's local stability once.  Numeric fields carry their tolerance
 context in the `tolerances` block, and a skipped oracle section is explicit.
-Each solver entry times itself; build_run_report alone reads `timing` and
-zeroes every `wall_ms` under --no-timing.
+build_run_report builds every solver entry by one rule, with one timer per
+call: its `wall_ms` is the call's duration, or 0.0 under --no-timing.
 
 The run report is O(n) in size, and no field repeats another: a greedy
 step's index is its place in the trace and its component sizes are rebuilt
@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 import time
 from typing import Callable
-
-import numpy as np
 
 from . import combinatorial, dualsdp, oracle, spectral
 from .errors import ValidationError
@@ -78,83 +76,6 @@ def _verdict_json(v: spectral.ConditionVerdict) -> dict:
     }
 
 
-def _entry(g: WeightedGraph, cut: Cut, t0: float, **fields) -> dict:
-    """A solver entry: the cut, its value, the time since t0, and `fields`."""
-    return {"cut": cut.signs.tolist(), "value": cut_value(g, cut),
-            "wall_ms": (time.perf_counter() - t0) * 1000.0, **fields}
-
-
-def solver_entry_greedy(g: WeightedGraph, gamma_hint: float | None) -> dict:
-    t0 = time.perf_counter()
-    cut, trace = combinatorial.find_max_cut_greedy(g)
-    fields = ("chosen_i", "chosen_j", "chosen_c", "edge_weight_added")
-    entry = _entry(g, cut, t0, trace=[{f: getattr(s, f) for f in fields} for s in trace])
-    if gamma_hint is not None:
-        flags = [s.bundles < gamma_hint for s in trace]
-        entry["applicability"] = {"gamma": gamma_hint, "per_iteration": flags, "overall": all(flags)}
-    return entry
-
-
-def solver_entry_contract(g: WeightedGraph) -> dict:
-    t0 = time.perf_counter()
-    result = combinatorial.high_degree_solve(g)
-    return _entry(
-        g, result.cut, t0,
-        gamma=result.gamma,
-        component_count=result.component_count,
-        used_exhaustive=result.used_exhaustive,
-        heuristic=result.heuristic,
-    )
-
-
-def solver_entry_spectral(g: WeightedGraph) -> dict:
-    t0 = time.perf_counter()
-    return _entry(g, spectral.spectral_partition(g), t0)
-
-
-def solver_entry_dual(
-    g: WeightedGraph,
-    tol: float,
-    max_iter: int,
-    on_iteration: Callable[[int, float, float, float], None] | None = None,
-) -> tuple[dict, dualsdp.DualSolution]:
-    """The dual's entry, plus the solution, which holds best_cut's certificate."""
-    t0 = time.perf_counter()
-    sol = dualsdp.solve_min_trace(g, tol=tol, max_iter=max_iter, on_iteration=on_iteration)
-    return _entry(
-        g, sol.best_cut, t0,
-        certified=sol.converged,
-        trace=sol.trace,
-        lower_bound=sol.lower_bound,
-        gap=sol.gap,
-        lambda_min=sol.lambda_min,
-        iterations=sol.iterations,
-    ), sol
-
-
-def solver_entry_oracle(
-    g: WeightedGraph, limit: int
-) -> tuple[dict, oracle.StabilityReport | None]:
-    """The exact maximum cut, plus the attached stability profile if any.
-
-    With a profile the entry is read off its first sweep and `wall_ms`
-    times the whole profile; otherwise it is one max-cut sweep.
-    """
-    t0 = time.perf_counter()
-    profile = _attached_profile(g, limit)
-    if profile is None:
-        cut, value, unique = oracle.brute_force_max_cut(g, limit)
-    else:
-        cut, value, unique = profile.max_cut, profile.max_value, profile.unique
-    entry = {
-        "cut": cut.signs.tolist(),
-        "value": value,
-        "wall_ms": (time.perf_counter() - t0) * 1000.0,
-        "unique": unique,
-    }
-    return entry, profile
-
-
 def conditions_section(
     g: WeightedGraph,
     candidate: Cut,
@@ -170,7 +91,7 @@ def conditions_section(
     degrees = g.weights.sum(axis=1)
     holds, margin = spectral.psd_sufficient_margin(g, gamma_local, degrees)
     verdicts = spectral.family_condition_checks(g, gamma_local, degrees, profile)
-    capped = min(gamma_local, spectral.LOCAL_GAMMA_CAP)
+    capped = spectral._capped(gamma_local)
     return {
         "gamma_local": _num(gamma_local),
         "ratio_bound": capped / (capped + 1.0),
@@ -198,29 +119,64 @@ def build_run_report(
     on_iteration: Callable[[int, float, float, float], None] | None = None,
 ) -> dict:
     """The run report; `on_iteration` receives the dual solver's iterations
-    (see dualsdp.solve_min_trace) as they happen."""
+    (see dualsdp.solve_min_trace) as they happen.
+
+    Every solver entry is built by one rule: its solver's cut, the cut's
+    value, the call's `wall_ms` (0.0 unless `timing`), and its own fields."""
     profile = sol = None
     entries: dict[str, dict] = {}
+    cuts: list[tuple[float, Cut]] = []  # (value, cut) per entry, in solver order
     for name in solvers:
+        if name == "contract" and not g.is_simple():
+            entries[name] = {"skipped": "weighted input (simple graphs only)"}
+            continue
+        t0 = time.perf_counter()
         if name == "greedy":
-            entries[name] = solver_entry_greedy(g, gamma_hint)
+            cut, steps = combinatorial.find_max_cut_greedy(g)
+            keys = ("chosen_i", "chosen_j", "chosen_c", "edge_weight_added")
+            fields = {"trace": [{k: getattr(s, k) for k in keys} for s in steps]}
+            if gamma_hint is not None:
+                flags = [s.bundles < gamma_hint for s in steps]
+                fields["applicability"] = {
+                    "gamma": gamma_hint, "per_iteration": flags, "overall": all(flags)
+                }
         elif name == "contract":
-            if g.is_simple():
-                entries[name] = solver_entry_contract(g)
-            else:
-                entries[name] = {"skipped": "weighted input (simple graphs only)"}
+            result = combinatorial.high_degree_solve(g)
+            cut = result.cut
+            fields = {
+                "gamma": result.gamma,
+                "component_count": result.component_count,
+                "used_exhaustive": result.used_exhaustive,
+                "heuristic": result.heuristic,
+            }
         elif name == "spectral":
-            entries[name] = solver_entry_spectral(g)
+            cut, fields = spectral.spectral_partition(g), {}
         elif name == "dual":
-            entries[name], sol = solver_entry_dual(g, tol, max_iter, on_iteration)
+            sol = dualsdp.solve_min_trace(g, tol=tol, max_iter=max_iter, on_iteration=on_iteration)
+            cut = sol.best_cut
+            fields = {
+                "certified": sol.converged,
+                "trace": sol.trace,
+                "lower_bound": sol.lower_bound,
+                "gap": sol.gap,
+                "lambda_min": sol.lambda_min,
+                "iterations": sol.iterations,
+            }
         elif name == "oracle":
-            entries[name], profile = solver_entry_oracle(g, oracle_limit)
+            # one max-cut sweep, or the attached profile, read off its first sweep
+            profile = _attached_profile(g, oracle_limit)
+            if profile is None:
+                cut, value, unique = oracle.brute_force_max_cut(g, oracle_limit)
+            else:
+                cut, value, unique = profile.max_cut, profile.max_value, profile.unique
+            fields = {"unique": unique}
         else:
             raise ValidationError(f"unknown solver {name!r}")
-    if not timing:
-        for entry in entries.values():
-            if "wall_ms" in entry:
-                entry["wall_ms"] = 0.0
+        if name != "oracle":  # the oracle's value is its sweep's exactly rounded weight
+            value = cut_value(g, cut)
+        wall_ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
+        entries[name] = {"cut": cut.signs.tolist(), "value": value, "wall_ms": wall_ms, **fields}
+        cuts.append((value, cut))
 
     if profile is None:
         profile = _attached_profile(g, oracle_limit)
@@ -229,12 +185,8 @@ def build_run_report(
         candidate = profile.max_cut
     else:
         osec = {"skipped": f"n > limit ({g.n} > {min(AUTO_ORACLE_ATTACH, oracle_limit)})"}
-        candidate = None
-        best = -math.inf
-        for entry in entries.values():
-            if "cut" in entry and entry["value"] > best:
-                best = entry["value"]
-                candidate = Cut(np.asarray(entry["cut"], dtype=np.int8))
+        # the first entry with the strictly largest value
+        candidate = max(cuts, key=lambda vc: vc[0])[1] if cuts else None
 
     report = {
         "schema": SCHEMA_ID,

@@ -40,9 +40,11 @@ def _as_sym(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {m.shape}")
-    if not (m == m.T).all():  # exactly symmetric needs no scale
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+    if not (m == m.T).all():  # exactly symmetric needs no scale; a NaN never is
+        scale = float(np.abs(m).max())
+        if not math.isfinite(scale):
+            raise ValidationError("matrix must be finite")
+        if float(np.abs(m - m.T).max()) > 1e-12 * max(1.0, scale):
             raise ValidationError("matrix must be symmetric within 1e-12")
     return m
 
@@ -50,11 +52,19 @@ def _as_sym(m: np.ndarray) -> np.ndarray:
 def eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a symmetric matrix, ascending, with unit eigenvectors as
     columns: the package's one eigensolve (dense LAPACK; each vector has
-    residual |Mu - lam*u|_inf <= 1e-9 * |M|_inf)."""
+    residual |Mu - lam*u|_inf <= 1e-9 * |M|_inf).  A non-finite entry raises
+    ValidationError: an asymmetric one in _as_sym, a symmetric infinity
+    through the failed solve or the non-finite extreme eigenvalues it leads to."""
     m = _as_sym(m)
     if m.shape[0] == 0:
         raise ValidationError("matrix must be nonempty")
-    return np.linalg.eigh(m)
+    try:
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"matrix must be finite ({exc})") from None
+    if not (math.isfinite(vals[0]) and math.isfinite(vals[-1])):  # O(1): the dual solves thousands of times
+        raise ValidationError("matrix must be finite, with finite eigenvalues")
+    return vals, vecs
 
 
 def _bottom_two(vals: np.ndarray, vecs: np.ndarray) -> tuple[float, np.ndarray, float]:

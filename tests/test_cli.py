@@ -126,6 +126,43 @@ def test_solve_all_agree_on_c4(tmp_path, capsys):
     assert doc["oracle"]["gamma_star"] == "inf"
 
 
+def test_solve_conditions_candidate_is_the_first_entry_with_the_largest_value(
+    tmp_path, capsys, monkeypatch
+):
+    # n = 20 > 16, so no profile names the candidate: it is the first entry
+    # with the strictly largest value.  Every balanced cut of this complete
+    # graph is a maximum cut, and the two value rules round them apart:
+    # cut_value reads greedy's, spectral's and the dual's as 69.99999999999999,
+    # the oracle's sweep reads its own as 70.0.
+    gen = ["gen", "planted", "--n", "20", "--gamma", "1", "--dist", "constant:0.7",
+           "--seed", "0", "-o", str(tmp_path)]
+    assert main(gen) == 0
+    path = capsys.readouterr().out.strip()
+    candidates = []
+    conditions = report.conditions_section
+    monkeypatch.setattr(
+        report, "conditions_section", lambda g, c, *a: candidates.append(c) or conditions(g, c, *a)
+    )
+    assert main(["solve", "--solver", "all", "--no-timing", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    entries = doc["solvers"]
+    assert "skipped" in doc["oracle"]
+    values = [entries[name]["value"] for name in ("greedy", "spectral", "dual", "oracle")]
+    assert values == [69.99999999999999] * 3 + [70.0]
+    oracle_cut = entries["oracle"]["cut"]
+    assert oracle_cut not in [entries[name]["cut"] for name in ("greedy", "spectral", "dual")]
+    assert [c.signs.tolist() for c in candidates] == [oracle_cut]
+    g = load_graph(path)
+    kernel = spectral.build_diagonal_from_cut(g, candidates[0])
+    assert doc["conditions"]["certificate"]["diag_shift"] == kernel.tolist()
+    # among equal values the first entry wins
+    for order in (["greedy", "spectral", "dual"], ["dual", "greedy", "spectral"]):
+        candidates.clear()
+        rep = report.build_run_report(g, order, None, None, 1e-6, 300, 22, timing=False)
+        assert [c.signs.tolist() for c in candidates] == [rep["solvers"][order[0]]["cut"]]
+    assert rep["solvers"]["dual"]["cut"] != rep["solvers"]["greedy"]["cut"]
+
+
 def test_solve_require_certified_ok(tmp_path, capsys):
     tri = _write_triangle(tmp_path)
     scaled = tmp_path / "scaled.graph"
@@ -719,7 +756,7 @@ def _paths(doc, path=()):
 # run report floats that do not scale with W: stability ratios, the
 # thresholds they are compared with, tolerances, and the zeroed durations
 SCALE_FREE = {"gamma_local", "ratio_bound", "gamma", "lhs", "rhs", "tol", "tie_rel_tol",
-              "psd_rel_tol", "wall_ms"}
+              "psd_rel_tol", "wall_ms", "gamma_star", "alpha_star"}
 
 
 @pytest.mark.parametrize(
@@ -729,6 +766,11 @@ SCALE_FREE = {"gamma_local", "ratio_bound", "gamma", "lhs", "rhs", "tol", "tie_r
         (200, "uniform:0.5:1.5", 4.0, 2),
         (200, "two_point:0.3:0.5:1.5", 2.0, 3),
         (150, "constant:0.7", 2.0, 5),
+        # n <= 16: the oracle attaches, and its profile scales too
+        (12, "uniform:0.5:1.5", 4.0, 1),
+        (16, "uniform:0.5:1.5", 2.0, 2),
+        (14, "two_point:0.3:0.5:1.5", 4.0, 3),
+        (16, "constant:1.5", 2.0, 4),
     ],
 )
 def test_solve_report_scales_with_the_weights(tmp_path, capsys, n, dist, gamma, seed):

@@ -20,6 +20,7 @@ from stablecut import (
     local_stability_gamma,
     loads_graph,
     polish_cut,
+    spectral_partition,
 )
 from stablecut import graph
 from stablecut.graph import MAX_FILE_VERTICES, _side_weights
@@ -49,6 +50,18 @@ def test_validation_rejects_non_finite_weights(bad):
 def test_graph_is_immutable(k2):
     with pytest.raises(ValueError):
         k2.weights[0, 1] = 5.0
+
+
+def test_graph_keeps_a_copy_of_the_callers_array():
+    base = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0.0]])
+    g = WeightedGraph(base[:])  # a float64 view of the caller's array
+    cut = spectral_partition(g)
+    base[0, 1] = -5.0  # the caller's array stays writable and stays theirs
+    assert g.weights[0, 1] == 1.0 and np.array_equal(g.weights, g.weights.T)
+    assert spectral_partition(WeightedGraph(g.weights)) == cut
+    a = np.zeros((2, 2))
+    WeightedGraph(a)
+    assert a.flags.writeable
 
 
 def test_cut_canonical_form():

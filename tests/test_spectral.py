@@ -61,6 +61,30 @@ def test_eigen_rejects_asymmetric():
     assert (lam, lam1) == pytest.approx((-1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[0.0, math.nan], [1.0, 0.0]],  # LAPACK reads one triangle: [-1, 1]
+        [[math.inf, 1.0], [1.0, 0.0]],  # NaN eigenvalues
+        [[0.0, math.inf], [math.inf, 0.0]],  # NaN eigenvalues
+        [[0.0, math.inf], [1.0, 0.0]],  # an infinite scale hides the asymmetry
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[math.inf]],
+    ],
+)
+def test_eigendecompose_rejects_non_finite_input(m):
+    with pytest.raises(ValidationError, match="finite"):
+        spectral.eigendecompose(np.array(m))
+
+
+def test_eigendecompose_rejects_an_infinity_lapack_cannot_solve():
+    a = np.random.default_rng(0).standard_normal((20, 20))
+    m = a + a.T
+    m[3, 7] = m[7, 3] = math.inf  # eigh raises LinAlgError on this one
+    with pytest.raises(ValidationError, match="finite"):
+        spectral.eigendecompose(m)
+
+
 def test_eigen_residual_on_random_matrices():
     rng = np.random.Generator(np.random.Philox(7))
     for _ in range(50):
